@@ -762,9 +762,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned>(port));
       host = "127.0.0.1";
     }
-    ServedClient client = unix_path != nullptr
-                              ? ServedClient::connect_unix(unix_path)
-                              : ServedClient::connect_tcp(host, port);
+    // One connection, one request in flight: the serial caller's shape.
+    PooledClientOptions copt;
+    copt.connections = 1;
+    PooledClient client(unix_path != nullptr ? Endpoint::uds(unix_path)
+                                             : Endpoint::tcp(host, port),
+                        copt);
     std::printf("phoenix_load: %zu programs (%s mix), %s transport\n\n",
                 programs.size(), mix.c_str(), transport);
 
@@ -780,11 +783,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> cold_payloads(programs.size());
     for (std::size_t i = 0; i < programs.size(); ++i) {
       const auto t0 = clock_t_::now();
-      const auto ack = client.submit(make_request(programs[i]));
-      cold_payloads[i] = client.await_raw(ack.request_id);
+      PooledClient::Handle h = client.submit_async(make_request(programs[i]));
+      const bool hit = h.ack().hit;
+      cold_payloads[i] = h.get();
       cold.latencies_ms.push_back(ms_since(t0));
       ++cold.requests;
-      if (ack.hit) ++cold.hits;
+      if (hit) ++cold.hits;
     }
     print_phase("cold", cold);
 
@@ -846,12 +850,13 @@ int main(int argc, char** argv) {
       ++warm.requests;
       const auto t0 = clock_t_::now();
       try {
-        const auto ack = client.submit(req);
-        if (do_cancel) client.cancel(ack.request_id);
-        const std::string payload = client.await_raw(ack.request_id);
+        PooledClient::Handle h = client.submit_async(req);
+        const bool hit = h.ack().hit;
+        if (do_cancel) h.cancel();
+        h.get();
         warm.latencies_ms.push_back(ms_since(t0));
-        if (ack.hit) ++warm.hits;
-        samples.push_back({elapsed_s, ms_since(t0), ack.hit, true});
+        if (hit) ++warm.hits;
+        samples.push_back({elapsed_s, ms_since(t0), hit, true});
       } catch (const Error& e) {
         ++warm.errors;
         samples.push_back({elapsed_s, ms_since(t0), false, false});
@@ -874,7 +879,7 @@ int main(int argc, char** argv) {
 
     // ---- server counters -------------------------------------------------
     std::map<std::string, std::uint64_t> server_stats;
-    for (const auto& [name, v] : client.stats()) server_stats[name] = v;
+    for (const auto& [name, v] : client.server_stats()) server_stats[name] = v;
     const std::uint64_t frame_errors = server_stats["net.frame_errors"];
 
     // ---- BENCH_serve.json ------------------------------------------------

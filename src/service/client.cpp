@@ -4,13 +4,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <functional>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/trace.hpp"
+#include "service/net.hpp"
 
 namespace phoenix {
 
@@ -23,23 +24,6 @@ namespace {
 void backoff_sleep(double ms) {
   if (ms <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-/// Connect with the PR 6 bounded-retry idiom: any Stage::Io failure (refused,
-/// unreachable, daemon restarting) is retried `retry.limit` extra times.
-net::Fd connect_with_retry(const std::function<net::Fd()>& connect,
-                           const RetryOptions& retry,
-                           std::uint64_t* retries_out) {
-  for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      return connect();
-    } catch (const Error& e) {
-      if (e.stage() != Stage::Io || attempt >= retry.limit) throw;
-      if (retries_out != nullptr) ++*retries_out;
-      trace_count("client.connect_retries", 1);
-      backoff_sleep(retry.backoff_ms);
-    }
-  }
 }
 
 AckInfo parse_ack_payload(const std::string& payload, std::uint64_t id) {
@@ -122,206 +106,6 @@ std::string Endpoint::label() const {
   return host + ":" + std::to_string(port);
 }
 
-// --- ServedClient -----------------------------------------------------------
-
-ServedClient ServedClient::connect_tcp(const std::string& host,
-                                       std::uint16_t port,
-                                       const RetryOptions& retry) {
-  std::uint64_t retries = 0;
-  net::Fd fd = connect_with_retry(
-      [&] { return net::connect_tcp(host, port); }, retry, &retries);
-  ServedClient c(std::move(fd));
-  c.retry_ = retry;
-  c.stats_.connect_retries = retries;
-  ++c.stats_.conns_opened;
-  return c;
-}
-
-ServedClient ServedClient::connect_unix(const std::string& path,
-                                        const RetryOptions& retry) {
-  std::uint64_t retries = 0;
-  net::Fd fd = connect_with_retry([&] { return net::connect_unix(path); },
-                                  retry, &retries);
-  ServedClient c(std::move(fd));
-  c.retry_ = retry;
-  c.stats_.connect_retries = retries;
-  ++c.stats_.conns_opened;
-  return c;
-}
-
-void ServedClient::send_bytes(const std::string& bytes) {
-  flush();
-  net::write_all(fd_, bytes.data(), bytes.size());
-}
-
-void ServedClient::flush() {
-  if (out_buf_.empty()) return;
-  if (out_frames_ > 1) {
-    ++stats_.burst_writes;
-    stats_.burst_frames += out_frames_;
-    trace_count("client.burst_writes", 1);
-  }
-  net::write_all(fd_, out_buf_.data(), out_buf_.size());
-  out_buf_.clear();
-  out_frames_ = 0;
-}
-
-Frame ServedClient::read_frame() {
-  flush();  // never block reading replies to frames still sitting in the buffer
-  Frame f;
-  std::size_t consumed = 0;
-  char chunk[64 * 1024];
-  for (;;) {
-    if (decode_frame(buf_.data(), buf_.size(), kMaxFramePayload, f,
-                     consumed) == DecodeResult::Frame) {
-      buf_.erase(0, consumed);
-      return f;
-    }
-    const std::size_t n = net::read_some(fd_, chunk, sizeof chunk);
-    if (n == 0)
-      throw Error(Stage::Io, "phoenix-client: server closed the connection");
-    buf_.append(chunk, n);
-  }
-}
-
-Frame ServedClient::wait_for(FrameType a, FrameType b,
-                             std::uint64_t request_id) {
-  for (;;) {
-    Frame f = read_frame();
-    if (f.request_id == request_id && (f.type == a || f.type == b)) return f;
-    if (f.type == FrameType::Result || f.type == FrameType::ErrorReply) {
-      mailbox_.emplace(f.request_id, std::move(f));
-      continue;
-    }
-    if (f.type == FrameType::SubmitAck) {
-      acks_.emplace(f.request_id, std::move(f));
-      continue;
-    }
-    fail(std::string("unexpected ") + frame_type_name(f.type) +
-         " frame for request " + std::to_string(f.request_id) +
-         " while waiting on request " + std::to_string(request_id));
-  }
-}
-
-ServedClient::Pending ServedClient::submit_async(const CompileRequest& req,
-                                                 int priority) {
-  Frame f;
-  f.type = FrameType::Submit;
-  f.request_id = next_id_++;
-  f.payload = compile_request_to_bytes(req, priority);
-  out_buf_ += encode_frame(f);
-  ++out_frames_;
-  ++stats_.submits;
-  trace_count("client.submits", 1);
-  return Pending(this, f.request_id);
-}
-
-ServedClient::Ack ServedClient::take_ack(std::uint64_t request_id) {
-  Frame f;
-  const auto parked = acks_.find(request_id);
-  if (parked != acks_.end()) {
-    f = std::move(parked->second);
-    acks_.erase(parked);
-  } else {
-    // A rejected submission answers with ErrorReply instead of an ack; it
-    // may already be parked in the terminal mailbox.
-    const auto term = mailbox_.find(request_id);
-    if (term != mailbox_.end() && term->second.type == FrameType::ErrorReply) {
-      f = std::move(term->second);
-      mailbox_.erase(term);
-    } else {
-      f = wait_for(FrameType::SubmitAck, FrameType::ErrorReply, request_id);
-    }
-  }
-  if (f.type == FrameType::ErrorReply) {
-    ++stats_.error_replies;
-    throw error_from_payload(f.payload);
-  }
-  return parse_ack_payload(f.payload, request_id);
-}
-
-ServedClient::Ack ServedClient::Pending::ack() {
-  return owner_->take_ack(id_);
-}
-
-std::string ServedClient::Pending::get() { return owner_->await_raw(id_); }
-
-ServedClient::Ack ServedClient::submit_once(const CompileRequest& req,
-                                            int priority) {
-  Pending p = submit_async(req, priority);
-  flush();
-  return take_ack(p.request_id());
-}
-
-ServedClient::Ack ServedClient::submit(const CompileRequest& req,
-                                       int priority) {
-  for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      return submit_once(req, priority);
-    } catch (const Error& e) {
-      if (e.kind() != Error::Kind::Overloaded || attempt >= retry_.limit)
-        throw;
-      ++stats_.retries;
-      trace_count("client.retries", 1);
-      backoff_sleep(retry_.backoff_ms);
-    }
-  }
-}
-
-std::string ServedClient::await_raw(std::uint64_t request_id) {
-  Frame f;
-  const auto it = mailbox_.find(request_id);
-  if (it != mailbox_.end()) {
-    f = std::move(it->second);
-    mailbox_.erase(it);
-  } else {
-    f = wait_for(FrameType::Result, FrameType::ErrorReply, request_id);
-  }
-  if (f.type == FrameType::ErrorReply) {
-    ++stats_.error_replies;
-    throw error_from_payload(f.payload);
-  }
-  ++stats_.results;
-  return std::move(f.payload);
-}
-
-bool ServedClient::poll(std::uint64_t request_id, bool* known) {
-  Frame f;
-  f.type = FrameType::Poll;
-  f.request_id = request_id;
-  send_bytes(encode_frame(f));
-  const Frame reply =
-      wait_for(FrameType::Status, FrameType::Status, request_id);
-  std::istringstream in(reply.payload);
-  std::string tag;
-  int ready = -1, tracked = -1;
-  if (!(in >> tag >> ready >> tracked) || tag != "status" || ready < 0 ||
-      ready > 1 || tracked < 0 || tracked > 1)
-    fail("malformed status '" + reply.payload + "'");
-  if (known != nullptr) *known = tracked == 1;
-  return ready == 1;
-}
-
-bool ServedClient::cancel(std::uint64_t request_id) {
-  Frame f;
-  f.type = FrameType::Cancel;
-  f.request_id = request_id;
-  send_bytes(encode_frame(f));
-  const Frame reply =
-      wait_for(FrameType::CancelAck, FrameType::CancelAck, request_id);
-  return parse_flag_payload(reply.payload, "cancelled");
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> ServedClient::stats() {
-  Frame f;
-  f.type = FrameType::Stats;
-  f.request_id = next_id_++;
-  send_bytes(encode_frame(f));
-  const Frame reply =
-      wait_for(FrameType::StatsReply, FrameType::StatsReply, f.request_id);
-  return parse_stats_payload(reply.payload);
-}
-
 // --- PooledClient -----------------------------------------------------------
 
 namespace detail {
@@ -368,6 +152,39 @@ struct PoolConn {
 using detail::PoolConn;
 using detail::PoolPending;
 using detail::SyncWait;
+
+namespace {
+
+/// Synchronous round-trip (Cancel/Stats) on one pooled connection: the
+/// reader thread hands the reply to the registered SyncWait. Throws
+/// Error(Stage::Io) when the write fails or the connection dies first.
+Frame sync_round_trip(PoolConn& c, FrameType type, std::uint64_t request_id) {
+  auto w = std::make_shared<SyncWait>();
+  {
+    std::lock_guard<std::mutex> lk(c.mu);
+    c.sync.emplace(request_id, w);
+  }
+  std::string bytes;
+  append_frame(bytes, type, request_id, std::string());
+  try {
+    std::lock_guard<std::mutex> lk(c.write_mu);
+    net::write_all(c.fd, bytes.data(), bytes.size());
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lk(c.mu);
+      c.sync.erase(request_id);
+    }
+    c.dead.store(true, std::memory_order_release);
+    c.fd.shutdown_both();
+    throw;
+  }
+  std::unique_lock<std::mutex> lk(w->mu);
+  w->cv.wait(lk, [&] { return w->done; });
+  if (w->error != nullptr) throw Error(*w->error);
+  return std::move(w->reply);
+}
+
+}  // namespace
 
 struct PooledClient::Impl {
   Endpoint ep;
@@ -540,18 +357,6 @@ struct PooledClient::Impl {
     for (const std::uint64_t id : ids) c->pending.erase(id);
   }
 
-  std::vector<Handle> submit_frames(const std::vector<CompileRequest>& reqs,
-                                    int priority) {
-    std::vector<std::string> bodies;
-    bodies.reserve(reqs.size());
-    for (const CompileRequest& r : reqs)
-      bodies.push_back(compile_request_to_bytes(r, priority));
-    std::vector<const std::string*> ptrs;
-    ptrs.reserve(bodies.size());
-    for (const std::string& b : bodies) ptrs.push_back(&b);
-    return submit_bodies(ptrs);
-  }
-
   std::vector<Handle> submit_bodies(
       const std::vector<const std::string*>& bodies) {
     for (std::size_t attempt = 0;; ++attempt) {
@@ -598,35 +403,6 @@ struct PooledClient::Impl {
         backoff_sleep(opt.retry.backoff_ms);
       }
     }
-  }
-
-  Frame sync_round_trip(FrameType type, std::uint64_t request_id,
-                        const std::shared_ptr<PoolConn>& c) {
-    auto w = std::make_shared<SyncWait>();
-    {
-      std::lock_guard<std::mutex> lk(c->mu);
-      c->sync.emplace(request_id, w);
-    }
-    Frame f;
-    f.type = type;
-    f.request_id = request_id;
-    const std::string bytes = encode_frame(f);
-    try {
-      std::lock_guard<std::mutex> lk(c->write_mu);
-      net::write_all(c->fd, bytes.data(), bytes.size());
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(c->mu);
-        c->sync.erase(request_id);
-      }
-      c->dead.store(true, std::memory_order_release);
-      c->fd.shutdown_both();
-      throw;
-    }
-    std::unique_lock<std::mutex> lk(w->mu);
-    w->cv.wait(lk, [&] { return w->done; });
-    if (w->error != nullptr) throw Error(*w->error);
-    return std::move(w->reply);
   }
 
   void shutdown() {
@@ -681,39 +457,19 @@ bool PooledClient::Handle::cancel() {
     std::lock_guard<std::mutex> lk(p.mu);
     if (p.have_terminal) return false;
   }
-  auto w = std::make_shared<SyncWait>();
-  {
-    std::lock_guard<std::mutex> lk(c->mu);
-    c->sync.emplace(p.request_id, w);
-  }
-  Frame f;
-  f.type = FrameType::Cancel;
-  f.request_id = p.request_id;
-  const std::string bytes = encode_frame(f);
+  Frame reply;
   try {
-    std::lock_guard<std::mutex> lk(c->write_mu);
-    net::write_all(c->fd, bytes.data(), bytes.size());
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(c->mu);
-    c->sync.erase(p.request_id);
-    return false;
+    reply = sync_round_trip(*c, FrameType::Cancel, p.request_id);
+  } catch (const Error&) {
+    return false;  // the connection died: nothing is left to cancel on it
   }
-  std::unique_lock<std::mutex> lk(w->mu);
-  w->cv.wait(lk, [&] { return w->done; });
-  if (w->error != nullptr) return false;
-  return parse_flag_payload(w->reply.payload, "cancelled");
+  return parse_flag_payload(reply.payload, "cancelled");
 }
 
 PooledClient::Handle PooledClient::submit_async(const CompileRequest& req,
                                                 int priority) {
-  std::vector<CompileRequest> one(1, req);
-  return std::move(impl_->submit_frames(one, priority)[0]);
-}
-
-std::vector<PooledClient::Handle> PooledClient::submit_burst(
-    const std::vector<CompileRequest>& reqs, int priority) {
-  if (reqs.empty()) return {};
-  return impl_->submit_frames(reqs, priority);
+  const std::string body = compile_request_to_bytes(req, priority);
+  return std::move(impl_->submit_bodies({&body})[0]);
 }
 
 PooledClient::Handle PooledClient::submit_payload(const std::string& body) {
@@ -737,7 +493,7 @@ PooledClient::server_stats() {
         std::lock_guard<std::mutex> lk(c->mu);
         id = c->next_id++;
       }
-      const Frame reply = impl_->sync_round_trip(FrameType::Stats, id, c);
+      const Frame reply = sync_round_trip(*c, FrameType::Stats, id);
       return parse_stats_payload(reply.payload);
     } catch (const Error& e) {
       if (e.stage() != Stage::Io || attempt >= impl_->opt.retry.limit) throw;

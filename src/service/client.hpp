@@ -3,11 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "service/net.hpp"
 #include "service/protocol.hpp"
 
 namespace phoenix {
@@ -33,10 +31,11 @@ struct Endpoint {
 };
 
 /// Bounded retry-with-backoff policy, the client-side sibling of the disk
-/// cache's `disk_retry_{limit,backoff_ms}` (PR 6). Applied to connect
-/// attempts that fail with Stage::Io (connection refused, daemon
-/// restarting) and to submissions rejected with kind Overloaded. Off by
-/// default so protocol tests observe every error exactly once.
+/// cache's `disk_retry_{limit,backoff_ms}`. PooledClient applies it to
+/// connect attempts that fail with Stage::Io (connection refused, daemon
+/// restarting); ShardedClient (router.hpp) applies it to whole submissions,
+/// which is the only place Overloaded rejects are retried. Off by default
+/// so protocol tests observe every error exactly once.
 struct RetryOptions {
   std::size_t limit = 0;    ///< extra attempts after the first (0 = off)
   double backoff_ms = 1.0;  ///< sleep between attempts
@@ -44,7 +43,7 @@ struct RetryOptions {
 
 /// Client-side monotonic counters, the `ServiceStats` sibling for the
 /// transport layer. Mirrored onto any installed Trace as `net.pool.*`
-/// counters by the pooled client and `client.*` by the blocking client.
+/// counters by PooledClient; `retries` is filled in by ShardedClient.
 struct ClientStats {
   std::uint64_t submits = 0;         ///< Submit frames sent
   std::uint64_t results = 0;         ///< Result payloads received
@@ -66,116 +65,6 @@ struct AckInfo {
   bool hit = false;
 };
 
-/// Blocking client for the phoenix_served wire protocol (see protocol.hpp).
-/// Single-threaded by design: one ServedClient owns one connection and is
-/// driven from one thread, but it still multiplexes — submit as many
-/// requests as you like (pipelined without waiting for acks via
-/// `submit_async` + `flush`), then await them in any order; replies that
-/// arrive early are parked in mailboxes keyed by request id. phoenix_load
-/// and the server tests drive the daemon through this class; the fleet path
-/// (router.hpp) rides the thread-safe PooledClient below instead.
-class ServedClient {
- public:
-  /// `retry` bounds reconnect attempts when the daemon is not up yet (or is
-  /// restarting): any connect failure with Stage::Io is retried with
-  /// backoff. The policy is remembered and also applied to Overloaded
-  /// submission rejects in submit().
-  static ServedClient connect_tcp(const std::string& host, std::uint16_t port,
-                                  const RetryOptions& retry = {});
-  static ServedClient connect_unix(const std::string& path,
-                                   const RetryOptions& retry = {});
-
-  ServedClient(ServedClient&&) = default;
-  ServedClient& operator=(ServedClient&&) = default;
-
-  using Ack = AckInfo;
-
-  /// Send a Submit frame and wait for its SubmitAck. Request ids are
-  /// assigned internally (monotonic). Throws the reconstructed phoenix::Error
-  /// when the server rejects the submission outright (malformed request,
-  /// admission control) — rejected submissions have no result to await.
-  /// With a retry policy installed, Overloaded rejects are resubmitted up to
-  /// `retry.limit` times with `retry.backoff_ms` sleeps (counted in
-  /// client_stats().retries).
-  Ack submit(const CompileRequest& req, int priority = 0);
-
-  /// Pipelined submission: the encoded Submit frame is appended to an
-  /// outgoing buffer without touching the socket, so a burst of
-  /// submit_async calls becomes ONE batched write at the next flush() (or
-  /// implicitly before the next read). The returned handle is a
-  /// single-threaded future: its ack()/get() pump this client's connection
-  /// until the wanted reply arrives, parking everything else.
-  class Pending {
-   public:
-    Pending() = default;
-    std::uint64_t request_id() const { return id_; }
-    /// Block for the SubmitAck (throws the reconstructed Error when the
-    /// server rejected the submission; a throwing ack() is terminal).
-    Ack ack();
-    /// Block for the terminal Result payload (throws like await_raw).
-    std::string get();
-
-   private:
-    friend class ServedClient;
-    Pending(ServedClient* owner, std::uint64_t id) : owner_(owner), id_(id) {}
-    ServedClient* owner_ = nullptr;
-    std::uint64_t id_ = 0;
-  };
-  Pending submit_async(const CompileRequest& req, int priority = 0);
-  /// Write every buffered frame in one write_all (counted as a burst write
-  /// when it carries more than one frame). No-op on an empty buffer.
-  void flush();
-
-  /// Block until the terminal reply for `request_id` and return the raw
-  /// Result payload (exactly the serialize.hpp document — callers wanting a
-  /// CompileResult parse it with compile_result_from_bytes; callers checking
-  /// bit-identity compare it directly). Throws the reconstructed Error when
-  /// the terminal reply is an ErrorReply (DeadlineExceeded, Cancelled, ...).
-  std::string await_raw(std::uint64_t request_id);
-
-  /// Synchronous Poll round-trip: whether the submission is ready, and (via
-  /// `known`) whether the server still tracks it at all (terminal replies
-  /// retire submissions server-side).
-  bool poll(std::uint64_t request_id, bool* known = nullptr);
-
-  /// Synchronous Cancel round-trip. True when the compile was skipped or
-  /// aborted on this submission's behalf; the terminal ErrorReply (kind
-  /// Cancelled) still arrives and must be consumed via await_raw.
-  bool cancel(std::uint64_t request_id);
-
-  /// Synchronous Stats round-trip: `net.*` and `service.*` counters.
-  std::vector<std::pair<std::string, std::uint64_t>> stats();
-
-  ClientStats client_stats() const { return stats_; }
-
-  /// Escape hatch for protocol tests: write raw bytes to the socket (any
-  /// buffered frames are flushed first so stream order is preserved).
-  void send_bytes(const std::string& bytes);
-  /// Escape hatch for protocol tests: read the next frame off the wire
-  /// (bypasses the mailboxes — use only on a connection with nothing
-  /// pending).
-  Frame read_frame();
-
- private:
-  explicit ServedClient(net::Fd fd) : fd_(std::move(fd)) {}
-
-  Ack submit_once(const CompileRequest& req, int priority);
-  Ack take_ack(std::uint64_t request_id);
-  Frame wait_for(FrameType a, FrameType b, std::uint64_t request_id);
-
-  net::Fd fd_;
-  RetryOptions retry_;
-  ClientStats stats_;
-  std::string buf_;      ///< incoming byte stream, undecoded tail
-  std::string out_buf_;  ///< encoded frames awaiting the next flush()
-  std::size_t out_frames_ = 0;
-  std::uint64_t next_id_ = 1;
-  /// Terminal replies (Result/ErrorReply) that arrived while waiting for
-  /// something else, and SubmitAcks for pipelined submissions.
-  std::unordered_map<std::uint64_t, Frame> mailbox_;
-  std::unordered_map<std::uint64_t, Frame> acks_;
-};
-
 namespace detail {
 struct PoolPending;
 struct PoolConn;
@@ -194,13 +83,12 @@ struct PooledClientOptions {
   RetryOptions retry;
 };
 
-/// Thread-safe pooled, pipelined transport to ONE endpoint: a small
-/// connection pool, a reader thread per connection demultiplexing replies
-/// by request id into futures, batched frame writes for submit bursts, and
-/// automatic lazy reconnect of dead connections. This is the per-endpoint
-/// transport under ShardedClient (router.hpp); it can also be used directly
-/// as a faster drop-in for ServedClient when raw-frame escape hatches are
-/// not needed.
+/// The wire protocol's client: a thread-safe pooled, pipelined transport to
+/// ONE endpoint — a small connection pool, a reader thread per connection
+/// demultiplexing replies by request id into futures, batched frame writes
+/// for submit bursts, and automatic lazy reconnect of dead connections. A
+/// serial caller uses it with `connections = 1`; ShardedClient (router.hpp)
+/// keeps one per endpoint of a fleet.
 ///
 /// Failure semantics: when a connection dies (EOF, reset, daemon killed),
 /// every submission in flight on it fails with Error(Stage::Io); the next
@@ -233,7 +121,8 @@ class PooledClient {
     /// True once the terminal reply (or connection loss) arrived.
     bool done() const;
     /// Synchronous Cancel round-trip on the owning connection (false when
-    /// the connection is already gone or the compile had finished).
+    /// the connection is already gone or the compile had finished). A
+    /// handle whose terminal reply already arrived answers false locally.
     bool cancel();
 
    private:
@@ -248,16 +137,13 @@ class PooledClient {
   /// the configured retry policy) when the chosen connection is dead.
   Handle submit_async(const CompileRequest& req, int priority = 0);
 
-  /// Batched submit burst: every frame is encoded back-to-back and written
-  /// with ONE write_all on one connection, so an N-request burst costs one
-  /// syscall instead of N (counted in stats().burst_writes/burst_frames).
-  std::vector<Handle> submit_burst(const std::vector<CompileRequest>& reqs,
-                                   int priority = 0);
-
   /// Pre-serialized variants: submit a Submit PAYLOAD produced earlier by
   /// compile_request_to_bytes, skipping the per-submission serialization
   /// pass. The routing tier's prepared requests (router.hpp) ride these for
-  /// repeat-heavy workloads and retry resubmission.
+  /// repeat-heavy workloads and retry resubmission. A burst is encoded
+  /// back-to-back and written with ONE write_all on one connection, so an
+  /// N-request burst costs one syscall instead of N (counted in
+  /// stats().burst_writes/burst_frames).
   Handle submit_payload(const std::string& body);
   std::vector<Handle> submit_burst_payloads(
       const std::vector<const std::string*>& bodies);

@@ -362,14 +362,6 @@ std::vector<ShardedClient::Handle> ShardedClient::submit_burst(
   return out;
 }
 
-std::vector<ShardedClient::Handle> ShardedClient::submit_burst(
-    const std::vector<CompileRequest>& reqs, int priority) {
-  std::vector<PreparedRequest> prepared;
-  prepared.reserve(reqs.size());
-  for (const CompileRequest& req : reqs) prepared.push_back(prepare(req, priority));
-  return submit_burst(std::move(prepared));
-}
-
 std::string ShardedClient::compile_raw(const CompileRequest& req,
                                        int priority) {
   return submit(req, priority).get();

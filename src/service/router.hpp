@@ -182,8 +182,6 @@ class ShardedClient {
   /// (requests sharing a shard ride one syscall). Handles come back in
   /// request order.
   std::vector<Handle> submit_burst(std::vector<PreparedRequest> reqs);
-  std::vector<Handle> submit_burst(const std::vector<CompileRequest>& reqs,
-                                   int priority = 0);
 
   /// Convenience: submit + get.
   std::string compile_raw(const CompileRequest& req, int priority = 0);

@@ -21,11 +21,12 @@ namespace phoenix {
 
 namespace {
 
-/// One live client connection. The reader thread owns frame decoding and
-/// synchronous replies; every accepted Submit gets a waiter thread that
-/// blocks in Ticket::get and sends the Result/ErrorReply when the shared
-/// flight resolves. Writers interleave frames through `write_mu`, so a
-/// multi-frame reply sequence stays intact under request multiplexing.
+/// One live client connection. The reader thread owns frame decoding,
+/// synchronous replies and warm hits; every cold Submit gets a waiter
+/// thread that blocks in Ticket::get and sends the Result/ErrorReply when
+/// the shared flight resolves. Writers interleave frames through
+/// `write_mu`, so a multi-frame reply sequence stays intact under request
+/// multiplexing.
 struct Conn {
   net::Fd fd;
   std::mutex write_mu;
@@ -173,16 +174,23 @@ struct ServedServer::Impl {
   explicit Impl(ServerOptions o)
       : opt(std::move(o)), service(opt.service, opt.compile_fn) {}
 
-  void send_frame(Conn& c, FrameType type, std::uint64_t request_id,
-                  std::string payload) {
-    Frame f;
-    f.type = type;
-    f.request_id = request_id;
-    f.payload = std::move(payload);
-    const std::string bytes = encode_frame(f);
-    std::lock_guard<std::mutex> lk(c.write_mu);
-    net::write_all(c.fd, bytes.data(), bytes.size());
+  /// Send `bytes` now, or append them to the reader's per-chunk reply batch
+  /// (flushed as ONE write after every frame in the chunk is handled).
+  void emit(Conn& c, std::string bytes, std::string* batch) {
+    if (batch != nullptr) {
+      batch->append(bytes);
+    } else {
+      std::lock_guard<std::mutex> lk(c.write_mu);
+      net::write_all(c.fd, bytes.data(), bytes.size());
+    }
     bytes_out.fetch_add(bytes.size(), std::memory_order_relaxed);
+  }
+
+  void send_frame(Conn& c, FrameType type, std::uint64_t request_id,
+                  const std::string& payload) {
+    std::string bytes;
+    append_frame(bytes, type, request_id, payload);
+    emit(c, std::move(bytes), nullptr);
   }
 
   void send_error(Conn& c, std::uint64_t request_id, const Error& e) {
@@ -191,69 +199,58 @@ struct ServedServer::Impl {
     trace_count("net.errors_sent", 1);
   }
 
-  /// Terminal reply for one cold submission, sent from its waiter thread
-  /// once the shared flight resolves: Result on success, ErrorReply on
-  /// failure/cancel/deadline. Retires the ticket and the in_flight slot.
-  /// (Warm hits never get here — handle_submit answers them inline with the
-  /// ack and terminal frame coalesced.)
-  void reply_for_ticket(Conn& c, std::uint64_t request_id,
-                        CompileService::Ticket ticket) {
-    Frame out;
-    out.request_id = request_id;
+  /// The one terminal reply for a submission, from the cold path's waiter
+  /// thread and the warm path's reader alike: Result built straight from
+  /// the shared serialized bytes on success, ErrorReply on failure, cancel
+  /// or deadline. `bytes` may already hold the warm path's SubmitAck, which
+  /// then rides the same write; `batch` is as in emit(). A `tracked`
+  /// (cold) submission is retired from the connection first. Returns the
+  /// Result bytes, or nullptr when an ErrorReply went out.
+  std::shared_ptr<const std::string> send_terminal(
+      Conn& c, std::uint64_t request_id, CompileService::Ticket ticket,
+      std::string bytes, std::string* batch, bool tracked) {
+    std::shared_ptr<const std::string> result;
     try {
       const CompileService::ResultPtr res = ticket.get();
       if (res != nullptr) {
-        out.type = FrameType::Result;
-        out.payload = *serialized_result(ticket.fingerprint(), *res);
+        result = serialized_result(ticket.fingerprint(), *res);
+        append_frame(bytes, FrameType::Result, request_id, *result);
       } else {
-        out.type = FrameType::ErrorReply;
-        out.payload = error_to_payload(Error(
-            Error::Kind::Cancelled, Stage::Service, "submission cancelled"));
+        append_frame(bytes, FrameType::ErrorReply, request_id,
+                     error_to_payload(Error(Error::Kind::Cancelled,
+                                            Stage::Service,
+                                            "submission cancelled")));
       }
     } catch (const Error& e) {
-      out.type = FrameType::ErrorReply;
-      out.payload = error_to_payload(e);
+      append_frame(bytes, FrameType::ErrorReply, request_id,
+                   error_to_payload(e));
     } catch (const std::exception& e) {
-      out.type = FrameType::ErrorReply;
-      out.payload = error_to_payload(Error(Stage::Service, e.what()));
+      append_frame(bytes, FrameType::ErrorReply, request_id,
+                   error_to_payload(Error(Stage::Service, e.what())));
     }
-    // Retire BEFORE writing: the terminal reply is the client's license to
-    // reuse the id (and to trust that Poll reports it unknown), so the
-    // ticket must be gone by the time the reply can possibly be read.
-    {
-      std::lock_guard<std::mutex> lk(c.tickets_mu);
-      c.tickets.erase(request_id);
-    }
-    in_flight.fetch_sub(1, std::memory_order_relaxed);
-    try {
-      const std::string bytes = encode_frame(out);
+    if (tracked) {
+      // Retire BEFORE writing: the terminal reply is the client's license
+      // to reuse the id (and to trust that Poll reports it unknown), so the
+      // ticket must be gone by the time the reply can possibly be read.
       {
-        std::lock_guard<std::mutex> lk(c.write_mu);
-        net::write_all(c.fd, bytes.data(), bytes.size());
+        std::lock_guard<std::mutex> lk(c.tickets_mu);
+        c.tickets.erase(request_id);
       }
-      bytes_out.fetch_add(bytes.size(), std::memory_order_relaxed);
-      if (out.type == FrameType::Result) {
-        results.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.results", 1);
-      } else {
-        errors_sent.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.errors_sent", 1);
-      }
+      in_flight.fetch_sub(1, std::memory_order_relaxed);
+    }
+    try {
+      emit(c, std::move(bytes), batch);
     } catch (...) {
-      // The reply write failed: the peer is gone, the reader will notice.
+      return nullptr;  // the peer is gone; its reader will notice
     }
-  }
-
-  /// Send `bytes` now, or append them to the reader's per-chunk reply batch
-  /// (flushed as ONE write after every frame in the chunk is handled).
-  void emit(Conn& c, std::string bytes, std::string* batch) {
-    bytes_out.fetch_add(bytes.size(), std::memory_order_relaxed);
-    if (batch != nullptr) {
-      batch->append(bytes);
-      return;
+    if (result != nullptr) {
+      results.fetch_add(1, std::memory_order_relaxed);
+      trace_count("net.results", 1);
+    } else {
+      errors_sent.fetch_add(1, std::memory_order_relaxed);
+      trace_count("net.errors_sent", 1);
     }
-    std::lock_guard<std::mutex> lk(c.write_mu);
-    net::write_all(c.fd, bytes.data(), bytes.size());
+    return result;
   }
 
   void handle_submit(const std::shared_ptr<Conn>& c, Frame f,
@@ -319,49 +316,17 @@ struct ServedServer::Impl {
       return;
     }
 
-    const bool hit = ticket.ready();
-    if (hit) {
+    if (ticket.ready()) {
       // Warm path: answer on the reader thread — no waiter spawn, no ticket
-      // bookkeeping (the reply retires the submission in the same breath) —
-      // with the ack and the terminal frame coalesced into one write, and
-      // successful Results memoized for the wire fast path above.
-      std::string bytes;
-      append_frame(bytes, FrameType::SubmitAck, f.request_id,
+      // bookkeeping — with the ack and the terminal frame coalesced into
+      // one write, and successful Results memoized for the wire fast path
+      // above.
+      std::string ack;
+      append_frame(ack, FrameType::SubmitAck, f.request_id,
                    "ack " + ticket.fingerprint().hex() + " 1");
-      Frame out;
-      out.request_id = f.request_id;
-      try {
-        const CompileService::ResultPtr res = ticket.get();
-        if (res != nullptr) {
-          const std::shared_ptr<const std::string> ser =
-              serialized_result(ticket.fingerprint(), *res);
-          out.type = FrameType::Result;
-          append_frame(bytes, FrameType::Result, f.request_id, *ser);
-          wire_store(f.payload, ticket.fingerprint().hex(), ser);
-        } else {
-          out.type = FrameType::ErrorReply;
-          append_frame(bytes, FrameType::ErrorReply, f.request_id,
-                       error_to_payload(Error(Error::Kind::Cancelled,
-                                              Stage::Service,
-                                              "submission cancelled")));
-        }
-      } catch (const Error& e) {
-        out.type = FrameType::ErrorReply;
-        append_frame(bytes, FrameType::ErrorReply, f.request_id,
-                     error_to_payload(e));
-      } catch (const std::exception& e) {
-        out.type = FrameType::ErrorReply;
-        append_frame(bytes, FrameType::ErrorReply, f.request_id,
-                     error_to_payload(Error(Stage::Service, e.what())));
-      }
-      emit(*c, std::move(bytes), batch);
-      if (out.type == FrameType::Result) {
-        results.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.results", 1);
-      } else {
-        errors_sent.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.errors_sent", 1);
-      }
+      if (auto result = send_terminal(*c, f.request_id, ticket,
+                                      std::move(ack), batch, false))
+        wire_store(f.payload, ticket.fingerprint().hex(), std::move(result));
       return;
     }
 
@@ -387,7 +352,7 @@ struct ServedServer::Impl {
     auto done = std::make_shared<std::atomic<bool>>(false);
     const std::uint64_t request_id = f.request_id;
     std::thread th([this, c, request_id, ticket = std::move(ticket), done] {
-      reply_for_ticket(*c, request_id, ticket);
+      send_terminal(*c, request_id, ticket, std::string(), nullptr, true);
       done->store(true, std::memory_order_release);
     });
     c->waiters.push_back(Conn::Waiter{std::move(th), std::move(done)});
@@ -602,12 +567,14 @@ struct ServedServer::Impl {
       // nothing is left to release here.
       return;
     }
+    // shutdown_both() wakes the acceptors out of accept(); the descriptors
+    // are closed only once they have been joined, since they read them.
     tcp_listener.shutdown_both();
     unix_listener.shutdown_both();
-    tcp_listener.reset();
-    unix_listener.reset();
     for (std::thread& t : acceptors) t.join();
     acceptors.clear();
+    tcp_listener.reset();
+    unix_listener.reset();
 
     std::vector<std::shared_ptr<Conn>> snapshot_conns;
     {

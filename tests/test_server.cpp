@@ -1,10 +1,11 @@
 // phoenix_served tests: the frame codec under malformed and fuzzed input,
-// the compile-request payload codec, live client/server round-trips over
-// TCP and Unix-domain sockets (bit-identical to in-process compiles,
-// multiplexing, deadlines, mid-flight cancel, admission control, protocol
-// violations that must not take the daemon down), and the fork-based
-// multi-process disk-cache stress (suite MultiProcessCache, deliberately
-// outside the TSan/chaos CI filters: TSan does not follow fork()).
+// the compile-request payload codec, live PooledClient/server round-trips
+// over TCP and Unix-domain sockets (bit-identical to in-process compiles,
+// multiplexing, deadlines, mid-flight cancel, admission control), raw-frame
+// protocol cases (poll, cancel of a retired id, violations that must not
+// take the daemon down), and the fork-based multi-process disk-cache stress
+// (suite MultiProcessCache, deliberately outside the TSan/chaos CI filters:
+// TSan does not follow fork()).
 
 #include <gtest/gtest.h>
 
@@ -289,20 +290,92 @@ TEST(Protocol, ErrorPayloadRoundTripsKindStageAndDetail)
 
 // --- live server round-trips ------------------------------------------------
 
-TEST(Server, TcpRoundTripIsBitIdenticalToInProcessCompile) {
+ServerOptions tcp_options() {
   ServerOptions opt;
   opt.enable_tcp = true;
-  opt.tcp_port = 0;
   opt.service.num_threads = 1;
-  ServedServer server(opt);
+  return opt;
+}
+
+Endpoint tcp_endpoint(const ServedServer& server) {
+  return Endpoint::tcp("127.0.0.1", server.tcp_port());
+}
+
+/// The serial caller's client: one connection, pipelined by request id.
+PooledClient serial_client(const Endpoint& endpoint) {
+  PooledClientOptions opt;
+  opt.connections = 1;
+  return PooledClient(endpoint, opt);
+}
+
+/// A compile_fn that holds every compile until release(), so a test can
+/// keep a submission in flight.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+
+  CompileService::CompileFn fn() {
+    return [this](const CompileRequest& req) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return open; });
+      CompileResult r;
+      r.circuit = Circuit(req.num_qubits);
+      return r;
+    };
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Byte-level connection for what PooledClient never sends or hides: raw
+/// bytes, Poll frames, and replies read one frame at a time.
+class RawConn {
+ public:
+  explicit RawConn(const ServedServer& server)
+      : fd_(net::connect_tcp("127.0.0.1", server.tcp_port())) {}
+
+  void send_bytes(const std::string& bytes) {
+    net::write_all(fd_, bytes.data(), bytes.size());
+  }
+  void send(FrameType type, std::uint64_t id, const std::string& payload = "") {
+    std::string bytes;
+    append_frame(bytes, type, id, payload);
+    send_bytes(bytes);
+  }
+  Frame read_frame() {
+    Frame f;
+    std::size_t consumed = 0;
+    while (decode_frame(buf_.data(), buf_.size(), kMaxFramePayload, f,
+                        consumed) == DecodeResult::NeedMore) {
+      char chunk[4096];
+      const std::size_t n = net::read_some(fd_, chunk, sizeof chunk);
+      if (n == 0) throw Error(Stage::Io, "server closed the connection");
+      buf_.append(chunk, n);
+    }
+    buf_.erase(0, consumed);
+    return f;
+  }
+
+ private:
+  net::Fd fd_;
+  std::string buf_;
+};
+
+TEST(Server, TcpRoundTripIsBitIdenticalToInProcessCompile) {
+  ServedServer server(tcp_options());
   server.start();
   ASSERT_NE(server.tcp_port(), 0);
 
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
-  const auto ack = client.submit(tiny_request());
-  EXPECT_EQ(ack.fingerprint_hex.size(), 32u);
-  const std::string wire = client.await_raw(ack.request_id);
+  PooledClient client = serial_client(tcp_endpoint(server));
+  PooledClient::Handle h = client.submit_async(tiny_request());
+  EXPECT_EQ(h.ack().fingerprint_hex.size(), 32u);
+  const std::string wire = h.get();
 
   CompileService local;
   const auto in_process = local.compile(tiny_request());
@@ -326,33 +399,30 @@ TEST(Server, UnixSocketRoundTripAndWarmHitFlag) {
   server.start();
   EXPECT_EQ(server.tcp_port(), 0);  // TCP off: local clients only
 
-  ServedClient client = ServedClient::connect_unix(opt.unix_path);
-  const auto cold = client.submit(tiny_request());
-  const std::string first = client.await_raw(cold.request_id);
+  PooledClient client = serial_client(Endpoint::uds(opt.unix_path));
+  PooledClient::Handle cold = client.submit_async(tiny_request());
+  const AckInfo cold_ack = cold.ack();
+  const std::string first = cold.get();
 
-  const auto warm = client.submit(tiny_request());
-  EXPECT_TRUE(warm.hit);  // resident in the content-addressed cache now
-  EXPECT_EQ(client.await_raw(warm.request_id), first);
-  EXPECT_EQ(warm.fingerprint_hex, cold.fingerprint_hex);
+  PooledClient::Handle warm = client.submit_async(tiny_request());
+  const AckInfo warm_ack = warm.ack();
+  EXPECT_TRUE(warm_ack.hit);  // resident in the content-addressed cache now
+  EXPECT_EQ(warm.get(), first);
+  EXPECT_EQ(warm_ack.fingerprint_hex, cold_ack.fingerprint_hex);
   server.stop();
 }
 
 TEST(Server, MultiplexedSubmissionsAwaitInAnyOrder) {
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  ServedServer server(opt);
+  ServedServer server(tcp_options());
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
+  PooledClient client = serial_client(tcp_endpoint(server));
 
-  std::vector<ServedClient::Ack> acks;
+  std::vector<PooledClient::Handle> handles;
   for (int i = 0; i < 4; ++i)
-    acks.push_back(client.submit(tiny_request(0.25 + i)));
-  // Await newest-first: earlier results park in the client mailbox.
+    handles.push_back(client.submit_async(tiny_request(0.25 + i)));
+  // Await newest-first: earlier results wait in their handles.
   for (int i = 3; i >= 0; --i) {
-    const CompileResult r =
-        compile_result_from_bytes(client.await_raw(acks[i].request_id));
+    const CompileResult r = compile_result_from_bytes(handles[i].get());
     EXPECT_EQ(r.circuit.num_qubits(), 4u);
   }
   // The counter increments just after the reply hits the wire, so the
@@ -364,44 +434,27 @@ TEST(Server, MultiplexedSubmissionsAwaitInAnyOrder) {
 }
 
 TEST(Server, DeadlineExceededTravelsAsStructuredError) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  opt.compile_fn = [&](const CompileRequest& req) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-    CompileResult r;
-    r.circuit = Circuit(req.num_qubits);
-    return r;
-  };
+  Gate gate;
+  ServerOptions opt = tcp_options();
+  opt.compile_fn = gate.fn();
   ServedServer server(opt);
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
+  PooledClient client = serial_client(tcp_endpoint(server));
 
   CompileRequest req = tiny_request();
   req.deadline_ms = 40.0;
-  const auto ack = client.submit(req);
-  EXPECT_EQ(kind_of([&] { client.await_raw(ack.request_id); }),
-            Error::Kind::DeadlineExceeded);
+  PooledClient::Handle h = client.submit_async(req);
+  h.ack();
+  EXPECT_EQ(kind_of([&] { h.get(); }), Error::Kind::DeadlineExceeded);
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  gate.release();
   server.stop();
   EXPECT_EQ(server.stats().frame_errors, 0u);
 }
 
 TEST(Server, MidFlightCancelAbortsTheCompile) {
   std::atomic<bool> entered{false};
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
+  ServerOptions opt = tcp_options();
   opt.compile_fn = [&](const CompileRequest& req) {
     entered.store(true);
     // Cooperative loop: aborts promptly once the flight token trips.
@@ -413,107 +466,81 @@ TEST(Server, MidFlightCancelAbortsTheCompile) {
   };
   ServedServer server(opt);
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
+  PooledClient client = serial_client(tcp_endpoint(server));
 
-  const auto ack = client.submit(tiny_request());
+  PooledClient::Handle h = client.submit_async(tiny_request());
+  h.ack();
   while (!entered.load()) std::this_thread::sleep_for(1ms);
-  EXPECT_TRUE(client.cancel(ack.request_id));
-  EXPECT_EQ(kind_of([&] { client.await_raw(ack.request_id); }),
-            Error::Kind::Cancelled);
-  // Cancelling an unknown (already retired) request id is a clean no.
-  EXPECT_FALSE(client.cancel(ack.request_id));
+  EXPECT_TRUE(h.cancel());
+  EXPECT_EQ(kind_of([&] { h.get(); }), Error::Kind::Cancelled);
+  // The terminal reply arrived, so there is nothing left to cancel.
+  EXPECT_FALSE(h.cancel());
   server.stop();
 }
 
 TEST(Server, PollReportsPendingThenReady) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  opt.compile_fn = [&](const CompileRequest& req) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-    CompileResult r;
-    r.circuit = Circuit(req.num_qubits);
-    return r;
-  };
+  Gate gate;
+  ServerOptions opt = tcp_options();
+  opt.compile_fn = gate.fn();
   ServedServer server(opt);
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
+  RawConn conn(server);
 
-  const auto ack = client.submit(tiny_request());
-  bool known = false;
-  EXPECT_FALSE(client.poll(ack.request_id, &known));
-  EXPECT_TRUE(known);
+  conn.send(FrameType::Submit, 1, compile_request_to_bytes(tiny_request(), 0));
+  EXPECT_EQ(conn.read_frame().type, FrameType::SubmitAck);
+  conn.send(FrameType::Poll, 1);
+  const Frame pending = conn.read_frame();
+  EXPECT_EQ(pending.type, FrameType::Status);
+  EXPECT_EQ(pending.payload, "status 0 1");  // not ready, still tracked
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  EXPECT_EQ(compile_result_from_bytes(client.await_raw(ack.request_id))
-                .circuit.num_qubits(),
+  gate.release();
+  const Frame result = conn.read_frame();
+  ASSERT_EQ(result.type, FrameType::Result);
+  EXPECT_EQ(compile_result_from_bytes(result.payload).circuit.num_qubits(),
             4u);
-  // Terminal replies retire the submission server-side.
-  EXPECT_FALSE(client.poll(ack.request_id, &known));
-  EXPECT_FALSE(known);
+  // The terminal reply retired the submission server-side ...
+  conn.send(FrameType::Poll, 1);
+  EXPECT_EQ(conn.read_frame().payload, "status 0 0");
+  // ... so a Cancel of the retired id is a clean no.
+  conn.send(FrameType::Cancel, 1);
+  const Frame cancel = conn.read_frame();
+  EXPECT_EQ(cancel.type, FrameType::CancelAck);
+  EXPECT_EQ(cancel.payload, "cancelled 0");
   server.stop();
 }
 
 TEST(Server, PerConnectionInflightLimitRejectsWithOverloaded) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
+  Gate gate;
+  ServerOptions opt = tcp_options();
   opt.max_inflight_per_conn = 1;
-  opt.compile_fn = [&](const CompileRequest& req) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-    CompileResult r;
-    r.circuit = Circuit(req.num_qubits);
-    return r;
-  };
+  opt.compile_fn = gate.fn();
   ServedServer server(opt);
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
+  PooledClient client = serial_client(tcp_endpoint(server));
 
-  const auto first = client.submit(tiny_request(1.0));
-  EXPECT_EQ(kind_of([&] { client.submit(tiny_request(2.0)); }),
-            Error::Kind::Overloaded);
+  PooledClient::Handle first = client.submit_async(tiny_request(1.0));
+  first.ack();
+  PooledClient::Handle second = client.submit_async(tiny_request(2.0));
+  EXPECT_EQ(kind_of([&] { second.ack(); }), Error::Kind::Overloaded);
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  // The connection survived the reject and still delivers the first result.
-  EXPECT_EQ(compile_result_from_bytes(client.await_raw(first.request_id))
-                .circuit.num_qubits(),
-            4u);
+  gate.release();
+  // The connection survived the reject: it still delivers the first result
+  // and serves the next submission.
+  EXPECT_EQ(compile_result_from_bytes(first.get()).circuit.num_qubits(), 4u);
+  EXPECT_FALSE(client.submit_async(tiny_request(3.0)).get().empty());
+  EXPECT_EQ(client.stats().conns_opened, 1u);
   server.stop();
   EXPECT_EQ(server.stats().frame_errors, 0u);
 }
 
 TEST(Server, StatsFrameReportsNetAndServiceCounters) {
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  ServedServer server(opt);
+  ServedServer server(tcp_options());
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
-  const auto ack = client.submit(tiny_request());
-  client.await_raw(ack.request_id);
+  PooledClient client = serial_client(tcp_endpoint(server));
+  client.submit_async(tiny_request()).get();
 
   bool saw_accepted = false, saw_misses = false;
-  for (const auto& [name, value] : client.stats()) {
+  for (const auto& [name, value] : client.server_stats()) {
     if (name == "net.accepted") {
       saw_accepted = true;
       EXPECT_EQ(value, 1u);
@@ -529,18 +556,31 @@ TEST(Server, StatsFrameReportsNetAndServiceCounters) {
   server.stop();
 }
 
+TEST(Server, StartStopLoopIsRaceFree) {
+  // stop() with both listeners up and a live connection, again and again:
+  // the acceptors still read the listener descriptors until they are
+  // joined, so the descriptors must not be closed before that.
+  const TempDir dir("startstop");
+  ServerOptions opt = tcp_options();
+  opt.unix_path = dir.str() + "/served.sock";
+  for (int i = 0; i < 50; ++i) {
+    ServedServer server(opt);
+    server.start();
+    PooledClient client = serial_client(
+        i % 2 == 0 ? tcp_endpoint(server) : Endpoint::uds(opt.unix_path));
+    EXPECT_FALSE(client.server_stats().empty());  // opens the connection
+    server.stop();
+  }
+}
+
 // --- protocol-edge behavior of the live daemon ------------------------------
 
 TEST(ServerWire, GarbageBytesGetAStructuredErrorAndTheDaemonSurvives) {
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  ServedServer server(opt);
+  ServedServer server(tcp_options());
   server.start();
 
   {
-    ServedClient rogue = ServedClient::connect_tcp("127.0.0.1",
-                                                   server.tcp_port());
+    RawConn rogue(server);
     rogue.send_bytes("GET / HTTP/1.1\r\nHost: phoenix\r\n\r\n");
     // The server answers with an ErrorReply frame (request id 0), then
     // closes; the reply is still well-framed.
@@ -551,52 +591,36 @@ TEST(ServerWire, GarbageBytesGetAStructuredErrorAndTheDaemonSurvives) {
   }
 
   // A fresh, well-behaved connection still gets served.
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
-  const auto ack = client.submit(tiny_request());
-  EXPECT_FALSE(client.await_raw(ack.request_id).empty());
+  PooledClient client = serial_client(tcp_endpoint(server));
+  EXPECT_FALSE(client.submit_async(tiny_request()).get().empty());
   EXPECT_GE(server.stats().frame_errors, 1u);
   server.stop();
 }
 
 TEST(ServerWire, TruncatedFrameThenDisconnectLeavesNoWedgedState) {
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  ServedServer server(opt);
+  ServedServer server(tcp_options());
   server.start();
   {
-    Frame f;
-    f.type = FrameType::Submit;
-    f.request_id = 9;
-    f.payload = compile_request_to_bytes(tiny_request(), 0);
-    const std::string bytes = encode_frame(f);
-    ServedClient rogue = ServedClient::connect_tcp("127.0.0.1",
-                                                   server.tcp_port());
+    std::string bytes;
+    append_frame(bytes, FrameType::Submit, 9,
+                 compile_request_to_bytes(tiny_request(), 0));
+    RawConn rogue(server);
     rogue.send_bytes(bytes.substr(0, bytes.size() / 2));
   }  // disconnect mid-frame
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
-  const auto ack = client.submit(tiny_request());
-  EXPECT_FALSE(client.await_raw(ack.request_id).empty());
+  PooledClient client = serial_client(tcp_endpoint(server));
+  EXPECT_FALSE(client.submit_async(tiny_request()).get().empty());
   EXPECT_EQ(server.stats().frame_errors, 0u);  // truncation is just EOF
   server.stop();
 }
 
 TEST(ServerWire, OversizedFrameHeaderIsRejectedStructurally) {
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
+  ServerOptions opt = tcp_options();
   opt.max_frame_payload = 4096;
   ServedServer server(opt);
   server.start();
-  ServedClient rogue = ServedClient::connect_tcp("127.0.0.1",
-                                                 server.tcp_port());
-  Frame f;
-  f.type = FrameType::Submit;
-  f.request_id = 1;
-  f.payload = std::string(8192, 'x');  // exceeds the server's 4 KiB cap
-  rogue.send_bytes(encode_frame(f));
+  RawConn rogue(server);
+  // The payload exceeds the server's 4 KiB cap.
+  rogue.send(FrameType::Submit, 1, std::string(8192, 'x'));
   const Frame reply = rogue.read_frame();
   EXPECT_EQ(reply.type, FrameType::ErrorReply);
   EXPECT_EQ(error_from_payload(reply.payload).stage(), Stage::Parse);
@@ -605,27 +629,25 @@ TEST(ServerWire, OversizedFrameHeaderIsRejectedStructurally) {
 }
 
 TEST(ServerWire, CorruptSubmitPayloadKeepsTheConnectionUsable) {
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
-  ServedServer server(opt);
+  ServedServer server(tcp_options());
   server.start();
-  ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                  server.tcp_port());
+  RawConn conn(server);
 
-  Frame f;
-  f.type = FrameType::Submit;
-  f.request_id = 77;
-  f.payload = "phoenix-compile-request v1\nqubits MANY terms FEW\n";
-  client.send_bytes(encode_frame(f));
-  const Frame reply = client.read_frame();
+  conn.send(FrameType::Submit, 77,
+            "phoenix-compile-request v1\nqubits MANY terms FEW\n");
+  const Frame reply = conn.read_frame();
   EXPECT_EQ(reply.type, FrameType::ErrorReply);
   EXPECT_EQ(reply.request_id, 77u);
   EXPECT_EQ(error_from_payload(reply.payload).stage(), Stage::Parse);
 
   // Framing stayed intact, so the same connection still compiles.
-  const auto ack = client.submit(tiny_request());
-  EXPECT_FALSE(client.await_raw(ack.request_id).empty());
+  conn.send(FrameType::Submit, 78,
+            compile_request_to_bytes(tiny_request(), 0));
+  EXPECT_EQ(conn.read_frame().type, FrameType::SubmitAck);
+  const Frame result = conn.read_frame();
+  EXPECT_EQ(result.type, FrameType::Result);
+  EXPECT_EQ(result.request_id, 78u);
+  EXPECT_FALSE(result.payload.empty());
   EXPECT_GE(server.stats().frame_errors, 1u);
   server.stop();
 }
@@ -633,9 +655,7 @@ TEST(ServerWire, CorruptSubmitPayloadKeepsTheConnectionUsable) {
 TEST(ServerWire, DisconnectWithInflightCompileCancelsIt) {
   std::atomic<bool> entered{false};
   std::atomic<bool> aborted{false};
-  ServerOptions opt;
-  opt.enable_tcp = true;
-  opt.service.num_threads = 1;
+  ServerOptions opt = tcp_options();
   opt.compile_fn = [&](const CompileRequest& req) {
     entered.store(true);
     for (int i = 0; i < 5000 && !req.cancel.cancel_requested(); ++i)
@@ -649,9 +669,8 @@ TEST(ServerWire, DisconnectWithInflightCompileCancelsIt) {
   ServedServer server(opt);
   server.start();
   {
-    ServedClient client = ServedClient::connect_tcp("127.0.0.1",
-                                                    server.tcp_port());
-    client.submit(tiny_request());
+    PooledClient client = serial_client(tcp_endpoint(server));
+    client.submit_async(tiny_request()).ack();
     while (!entered.load()) std::this_thread::sleep_for(1ms);
   }  // client vanishes with the compile still running
   // The reader notices EOF, cancels the orphaned flight, and the compile
