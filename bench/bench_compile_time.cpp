@@ -5,10 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "baselines/paulihedral.hpp"
 #include "baselines/tket.hpp"
@@ -277,24 +280,48 @@ void BM_ServiceWarmVsCold(benchmark::State& state) {
       cold_ms / 1e3, benchmark::Counter::kIsIterationInvariantRate);
 }
 
+double median_of(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  if (v.size() % 2 == 1) return *mid;
+  return (*mid + *std::max_element(v.begin(), mid)) / 2.0;
+}
+
+// Median absolute deviation over the repetitions: the spread exported next
+// to the median, robust to one noisy repetition where stddev is not.
+double mad(const std::vector<double>& v) {
+  const double m = median_of(v);
+  std::vector<double> dev;
+  dev.reserve(v.size());
+  for (const double x : v) dev.push_back(std::abs(x - m));
+  return median_of(std::move(dev));
+}
+
+void with_mad(benchmark::internal::Benchmark* b) {
+  b->ComputeStatistics("mad", mad);
+}
+
 // Index 10 = LiH_frz_BK (small), 1 = CH2_cmplt_JW (largest, 1488 strings).
-BENCHMARK(BM_PhoenixLogical)->Arg(10)->Arg(14)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PhoenixLogical)->Arg(10)->Arg(14)->Arg(1)->Apply(with_mad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PhoenixLogicalArmedToken)
     ->Arg(10)
     ->Arg(14)
     ->Arg(1)
+    ->Apply(with_mad)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PhoenixLogicalTraced)->Arg(10)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PaulihedralLogical)->Arg(10)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TketLogical)->Arg(10)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PhoenixHardwareAware)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PhoenixLogicalTraced)->Arg(10)->Arg(1)->Apply(with_mad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PaulihedralLogical)->Arg(10)->Arg(1)->Apply(with_mad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TketLogical)->Arg(10)->Arg(1)->Apply(with_mad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PhoenixHardwareAware)->Arg(10)->Apply(with_mad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PeepholeDagVsLegacy)
     ->Args({10, 0})
     ->Args({10, 1})
     ->Args({1, 0})
     ->Args({1, 1})
+    ->Apply(with_mad)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PhoenixQaoaHeavyHex)->Arg(0)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PhoenixQaoaHeavyHex)->Arg(0)->Arg(5)->Apply(with_mad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimplifySearchModes)
     ->Args({10, 0})
     ->Args({10, 1})
@@ -302,8 +329,9 @@ BENCHMARK(BM_SimplifySearchModes)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Args({1, 2})
+    ->Apply(with_mad)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ServiceWarmVsCold)->Arg(10)->Arg(14)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceWarmVsCold)->Arg(10)->Arg(14)->Arg(1)->Apply(with_mad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -15,6 +15,12 @@
 # iteration time is the warm cache-hit latency, the cold_ms counter is the
 # one-off cold compile for the same program, and warm_speedup = cold/warm.
 #
+# Every row runs 5 repetitions by default (pass --benchmark_repetitions=N to
+# change it) and the JSON keeps only the aggregates: mean, median, stddev, cv
+# and mad (median absolute deviation, registered in bench_compile_time.cpp).
+# Quote the median with its MAD. The context records `nproc`, the cores the
+# run could use, so a record states the host it came from.
+#
 # The CMake target `bench_to_json` invokes this with the configured build dir.
 #
 # The checked-in JSON is a perf trajectory, so numbers from unoptimized
@@ -46,5 +52,6 @@ fi
 
 "$build_dir/bench/bench_compile_time" \
   --benchmark_out="$out" --benchmark_out_format=json \
-  --benchmark_context=phoenix_build_type="$build_type" "$@"
-echo "wrote $out (build type: $build_type)"
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+  --benchmark_context=phoenix_build_type="$build_type",nproc="$(nproc)" "$@"
+echo "wrote $out (build type: $build_type, nproc: $(nproc))"

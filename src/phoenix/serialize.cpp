@@ -1,180 +1,196 @@
 #include "phoenix/serialize.hpp"
 
 #include <bit>
-#include <cctype>
 #include <cstdint>
-#include <cstdio>
-#include <sstream>
+#include <cstring>
+#include <limits>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace phoenix {
 
 namespace {
 
+constexpr char kMagic[4] = {'P', 'H', 'X', 'R'};
+
+// Gate kind byte.
+constexpr unsigned kKindMask = 0x1f;
+constexpr unsigned kParamFollows = 0x20;
+constexpr unsigned kQ1Follows = 0x40;
+constexpr std::size_t kMaxGateNesting = 4;
+
+// Validation flags byte.
+constexpr unsigned kFrameChecked = 1, kFrameOk = 2, kExactChecked = 4;
+
+// Fewest bytes one element can take, for bounding counts by the input left.
+constexpr std::size_t kMinGateBytes = 2;        // kind byte + varint q0
+constexpr std::size_t kMinDiagnosticBytes = 11;  // name, millis, checked, note
+constexpr std::size_t kMinTermBytes = 9;         // label, coeff
+
 [[noreturn]] void fail(const std::string& detail) {
   throw Error(Stage::Parse, "compile_result_from_bytes: " + detail);
 }
 
-// --- token-level encoding ---------------------------------------------------
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
-std::string u64_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+// --- writer -----------------------------------------------------------------
 
-std::string double_bits(double d) { return u64_hex(std::bit_cast<std::uint64_t>(d)); }
-
-/// Strings (stage names, notes, validation messages) as single whitespace-free
-/// tokens: '%'-escape '%', whitespace, and control bytes; the empty string is
-/// the token "%e".
-std::string escape(const std::string& s) {
-  if (s.empty()) return "%e";
-  static const char* digits = "0123456789abcdef";
+struct Writer {
   std::string out;
-  out.reserve(s.size());
-  for (const unsigned char c : s) {
-    if (c == '%' || c <= ' ' || c == 0x7f) {
-      out += '%';
-      out += digits[c >> 4];
-      out += digits[c & 0xf];
-    } else {
-      out += static_cast<char>(c);
+
+  void byte(unsigned v) { out.push_back(static_cast<char>(v)); }
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      byte(static_cast<unsigned>(v & 0x7f) | 0x80);
+      v >>= 7;
     }
+    byte(static_cast<unsigned>(v));
   }
-  return out;
+  void f64(double d) { put_u64(out, bits(d)); }
+  void str(const std::string& s) {
+    varint(s.size());
+    out += s;
+  }
+};
+
+void write_gate(Writer& w, const Gate& g) {
+  const bool param = gate_has_param(g.kind) || bits(g.param) != 0;
+  const bool q1 = g.is_two_qubit() || g.q1 != 0;
+  w.byte(static_cast<unsigned>(g.kind) | (param ? kParamFollows : 0) |
+         (q1 ? kQ1Follows : 0));
+  w.varint(g.q0);
+  if (q1) w.varint(g.q1);
+  if (param) w.f64(g.param);
+  if (g.kind == GateKind::Su4) {
+    w.varint(g.sub.size());
+    for (const Gate& s : g.sub) write_gate(w, s);
+  }
 }
 
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
+void write_circuit(Writer& w, const Circuit& c) {
+  w.varint(c.num_qubits());
+  w.varint(c.size());
+  for (const Gate& g : c.gates()) write_gate(w, g);
 }
 
-std::string unescape(const std::string& s) {
-  if (s == "%e") return {};
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
-    }
-    if (i + 2 >= s.size()) fail("truncated escape in string token");
-    const int hi = hex_nibble(s[i + 1]), lo = hex_nibble(s[i + 2]);
-    if (hi < 0 || lo < 0) fail("bad escape in string token");
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
+void write_layout(Writer& w, const std::vector<std::size_t>& layout) {
+  w.varint(layout.size());
+  for (const std::size_t v : layout) w.varint(v);
+}
+
+/// Field-for-field equality, params compared by bit pattern: the test for
+/// writing `logical` as a one-byte back-reference to `circuit`.
+bool same_bits(const Gate& a, const Gate& b) {
+  if (a.kind != b.kind || a.q0 != b.q0 || a.q1 != b.q1 ||
+      bits(a.param) != bits(b.param) || a.sub.size() != b.sub.size())
+    return false;
+  for (std::size_t i = 0; i < a.sub.size(); ++i)
+    if (!same_bits(a.sub[i], b.sub[i])) return false;
+  return true;
+}
+
+bool same_bits(const Circuit& a, const Circuit& b) {
+  if (a.num_qubits() != b.num_qubits() || a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a.gate(i), b.gate(i))) return false;
+  return true;
 }
 
 // --- reader -----------------------------------------------------------------
 
 struct Reader {
-  std::istringstream in;
+  const unsigned char* p;
+  const unsigned char* end;
 
-  explicit Reader(const std::string& bytes) : in(bytes) {}
+  std::size_t left() const { return static_cast<std::size_t>(end - p); }
 
-  std::string token(const char* what) {
-    std::string t;
-    if (!(in >> t)) fail(std::string("unexpected end of input, wanted ") + what);
-    return t;
+  unsigned byte(const char* what) {
+    if (p == end) fail(std::string("truncated input, wanted ") + what);
+    return *p++;
   }
-  void expect(const char* literal) {
-    const std::string t = token(literal);
-    if (t != literal) fail("expected '" + std::string(literal) + "', got '" + t + "'");
-  }
-  std::uint64_t u64(const char* what) {
-    const std::string t = token(what);
+  /// At most 10 bytes, and the tenth may only carry bit 63.
+  std::uint64_t varint(const char* what) {
     std::uint64_t v = 0;
-    for (const char c : t) {
-      if (!std::isdigit(static_cast<unsigned char>(c)))
-        fail("malformed integer for " + std::string(what) + ": '" + t + "'");
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    for (unsigned shift = 0;; shift += 7) {
+      const unsigned b = byte(what);
+      if (shift == 63 && b > 1)
+        fail(std::string("varint longer than 64 bits for ") + what);
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
     }
-    return v;
   }
-  std::uint64_t bits64(const char* what) {
-    const std::string t = token(what);
-    if (t.size() != 16) fail("malformed u64 hex for " + std::string(what));
-    std::uint64_t v = 0;
-    for (const char c : t) {
-      const int n = hex_nibble(c);
-      if (n < 0) fail("malformed u64 hex for " + std::string(what));
-      v = (v << 4) | static_cast<std::uint64_t>(n);
-    }
-    return v;
+  std::size_t size(const char* what) {
+    const std::uint64_t v = varint(what);
+    if (v > std::numeric_limits<std::size_t>::max())
+      fail(std::string("value out of range for ") + what);
+    return static_cast<std::size_t>(v);
   }
-  double dbl(const char* what) { return std::bit_cast<double>(bits64(what)); }
+  /// An element count, rejected when even `min_bytes` per element would run
+  /// past the input — the check that precedes every reserve.
+  std::size_t count(const char* what, std::size_t min_bytes) {
+    const std::uint64_t n = varint(what);
+    if (n > left() / min_bytes)
+      fail(std::string(what) + " of " + std::to_string(n) +
+           " exceeds the input left");
+    return static_cast<std::size_t>(n);
+  }
+  double f64(const char* what) {
+    if (left() < 8) fail(std::string("truncated input, wanted ") + what);
+    const std::uint64_t v = get_u64(p);
+    p += 8;
+    return std::bit_cast<double>(v);
+  }
   bool boolean(const char* what) {
-    const std::uint64_t v = u64(what);
-    if (v > 1) fail("malformed bool for " + std::string(what));
-    return v == 1;
+    const unsigned b = byte(what);
+    if (b > 1) fail(std::string("malformed bool for ") + what);
+    return b == 1;
+  }
+  std::string str(const char* what) {
+    const std::size_t n = count(what, 1);
+    std::string s(reinterpret_cast<const char*>(p), n);
+    p += n;
+    return s;
   }
 };
 
-// --- gates ------------------------------------------------------------------
-
-void write_gate(std::ostream& out, const Gate& g) {
-  out << "g " << static_cast<unsigned>(g.kind) << ' ' << g.q0 << ' ' << g.q1
-      << ' ' << double_bits(g.param) << ' ' << g.sub.size() << '\n';
-  for (const Gate& s : g.sub) write_gate(out, s);
-}
-
 Gate read_gate(Reader& r, std::size_t num_qubits, std::size_t depth) {
-  if (depth > 4) fail("gate nesting too deep");
-  r.expect("g");
+  if (depth > kMaxGateNesting) fail("gate nesting too deep");
+  const unsigned tag = r.byte("gate kind");
+  const unsigned kind = tag & kKindMask;
+  if ((tag & 0x80) != 0 || kind > static_cast<unsigned>(GateKind::Su4))
+    fail("unknown gate kind or flag bits " + std::to_string(tag));
   Gate g;
-  const std::uint64_t kind = r.u64("gate kind");
-  if (kind > static_cast<std::uint64_t>(GateKind::Su4)) fail("unknown gate kind");
   g.kind = static_cast<GateKind>(kind);
-  g.q0 = static_cast<std::size_t>(r.u64("gate q0"));
-  g.q1 = static_cast<std::size_t>(r.u64("gate q1"));
-  if (g.q0 >= num_qubits || (g.is_two_qubit() && g.q1 >= num_qubits))
+  g.q0 = r.size("gate q0");
+  if ((tag & kQ1Follows) != 0) g.q1 = r.size("gate q1");
+  if (g.q0 >= num_qubits ||
+      (g.is_two_qubit() && (g.q1 >= num_qubits || g.q1 == g.q0)))
     fail("gate qubit out of range");
-  g.param = r.dbl("gate param");
-  const std::uint64_t nsub = r.u64("gate sub count");
-  if (nsub != 0 && g.kind != GateKind::Su4) fail("sub-gates on non-Su4 gate");
-  g.sub.reserve(static_cast<std::size_t>(nsub));
-  for (std::uint64_t i = 0; i < nsub; ++i)
-    g.sub.push_back(read_gate(r, num_qubits, depth + 1));
+  if ((tag & kParamFollows) != 0) g.param = r.f64("gate param");
+  if (g.kind == GateKind::Su4) {
+    const std::size_t nsub = r.count("sub-gate count", kMinGateBytes);
+    g.sub.reserve(nsub);
+    for (std::size_t i = 0; i < nsub; ++i)
+      g.sub.push_back(read_gate(r, num_qubits, depth + 1));
+  }
   return g;
 }
 
-void write_circuit(std::ostream& out, const char* tag, const Circuit& c) {
-  out << tag << ' ' << c.num_qubits() << ' ' << c.size() << '\n';
-  for (const Gate& g : c.gates()) write_gate(out, g);
-}
-
-Circuit read_circuit(Reader& r, const char* tag) {
-  r.expect(tag);
-  const std::size_t nq = static_cast<std::size_t>(r.u64("circuit qubits"));
-  const std::uint64_t ngates = r.u64("circuit gate count");
+Circuit read_circuit(Reader& r) {
+  const std::size_t nq = r.size("register size");
+  const std::size_t ngates = r.count("gate count", kMinGateBytes);
   Circuit c(nq);
-  for (std::uint64_t i = 0; i < ngates; ++i)
-    c.append(read_gate(r, nq, 0));
+  for (std::size_t i = 0; i < ngates; ++i) c.append(read_gate(r, nq, 0));
   return c;
 }
 
-void write_layout(std::ostream& out, const char* tag,
-                  const std::vector<std::size_t>& layout) {
-  out << "layout " << tag << ' ' << layout.size();
-  for (const std::size_t v : layout) out << ' ' << v;
-  out << '\n';
-}
-
-std::vector<std::size_t> read_layout(Reader& r, const char* tag) {
-  r.expect("layout");
-  r.expect(tag);
-  const std::uint64_t k = r.u64("layout size");
+std::vector<std::size_t> read_layout(Reader& r) {
+  const std::size_t n = r.count("layout size", 1);
   std::vector<std::size_t> layout;
-  layout.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t i = 0; i < k; ++i)
-    layout.push_back(static_cast<std::size_t>(r.u64("layout entry")));
+  layout.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) layout.push_back(r.size("layout entry"));
   return layout;
 }
 
@@ -187,102 +203,110 @@ std::size_t gate_bytes(const Gate& g) {
 }  // namespace
 
 std::string compile_result_to_bytes(const CompileResult& r) {
-  std::ostringstream out;
-  out << "phoenix-compile-result v" << kCompileResultSchemaVersion << '\n';
-  write_circuit(out, "circuit", r.circuit);
-  write_circuit(out, "logical", r.logical);
-  out << "counts " << r.num_swaps << ' ' << r.num_groups << ' ' << r.bsf_epochs
-      << '\n';
-  write_layout(out, "initial", r.initial_layout);
-  write_layout(out, "final", r.final_layout);
-  out << "diagnostics " << r.diagnostics.size() << '\n';
-  for (const StageRecord& d : r.diagnostics)
-    out << "d " << escape(d.name) << ' ' << double_bits(d.millis) << ' '
-        << (d.checked ? 1 : 0) << ' ' << escape(d.note) << '\n';
+  const bool logical_is_circuit = same_bits(r.logical, r.circuit);
+  Writer w;
+  // About 3 bytes per gate: kind byte, 1-byte varint qubits, rare params.
+  w.out.reserve(64 + 4 * (r.circuit.size() +
+                          (logical_is_circuit ? 0 : r.logical.size())));
+  w.out.append(kMagic, sizeof kMagic);
+  w.varint(kCompileResultSchemaVersion);
+  write_circuit(w, r.circuit);
+  w.byte(logical_is_circuit ? 0 : 1);
+  if (!logical_is_circuit) write_circuit(w, r.logical);
+  w.varint(r.num_swaps);
+  w.varint(r.num_groups);
+  w.varint(r.bsf_epochs);
+  write_layout(w, r.initial_layout);
+  write_layout(w, r.final_layout);
+  w.varint(r.diagnostics.size());
+  for (const StageRecord& d : r.diagnostics) {
+    w.str(d.name);
+    w.f64(d.millis);
+    w.byte(d.checked ? 1 : 0);
+    w.str(d.note);
+  }
   const ValidationReport& v = r.validation;
-  out << "validation " << static_cast<unsigned>(v.status) << ' '
-      << (v.frame_checked ? 1 : 0) << ' ' << (v.frame_ok ? 1 : 0) << ' '
-      << (v.exact_checked ? 1 : 0) << ' ' << double_bits(v.exact_infidelity)
-      << ' ' << escape(v.message) << ' ' << v.realized_order.size() << '\n';
-  for (const PauliTerm& t : v.realized_order)
-    out << "t " << escape(t.string.to_string()) << ' ' << double_bits(t.coeff)
-        << '\n';
-  out << "end\n";
-  return out.str();
+  w.byte(static_cast<unsigned>(v.status));
+  w.byte((v.frame_checked ? kFrameChecked : 0) | (v.frame_ok ? kFrameOk : 0) |
+         (v.exact_checked ? kExactChecked : 0));
+  w.f64(v.exact_infidelity);
+  w.str(v.message);
+  w.varint(v.realized_order.size());
+  for (const PauliTerm& t : v.realized_order) {
+    w.str(t.string.to_string());
+    w.f64(t.coeff);
+  }
+  return std::move(w.out);
 }
 
 CompileResult compile_result_from_bytes(const std::string& bytes) {
-  Reader r(bytes);
-  r.expect("phoenix-compile-result");
-  const std::string version = r.token("schema version");
-  const std::string want = "v" + std::to_string(kCompileResultSchemaVersion);
-  if (version != want)
-    fail("stale or unknown schema tag '" + version + "' (this build reads " +
-         want + ")");
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  Reader r{data, data + bytes.size()};
+  if (bytes.size() < sizeof kMagic ||
+      std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
+    fail("not a compile result (bad magic)");
+  r.p += sizeof kMagic;
+  const std::uint64_t version = r.varint("schema version");
+  if (version != static_cast<std::uint64_t>(kCompileResultSchemaVersion))
+    fail("stale or unknown schema version " + std::to_string(version) +
+         " (this build reads " + std::to_string(kCompileResultSchemaVersion) +
+         ")");
 
   CompileResult res;
-  res.circuit = read_circuit(r, "circuit");
-  res.logical = read_circuit(r, "logical");
-  r.expect("counts");
-  res.num_swaps = static_cast<std::size_t>(r.u64("num_swaps"));
-  res.num_groups = static_cast<std::size_t>(r.u64("num_groups"));
-  res.bsf_epochs = static_cast<std::size_t>(r.u64("bsf_epochs"));
-  res.initial_layout = read_layout(r, "initial");
-  res.final_layout = read_layout(r, "final");
+  res.circuit = read_circuit(r);
+  switch (r.byte("logical tag")) {
+    case 0: res.logical = res.circuit; break;
+    case 1: res.logical = read_circuit(r); break;
+    default: fail("malformed logical tag");
+  }
+  res.num_swaps = r.size("num_swaps");
+  res.num_groups = r.size("num_groups");
+  res.bsf_epochs = r.size("bsf_epochs");
+  res.initial_layout = read_layout(r);
+  res.final_layout = read_layout(r);
 
-  r.expect("diagnostics");
-  const std::uint64_t ndiag = r.u64("diagnostics count");
-  res.diagnostics.reserve(static_cast<std::size_t>(ndiag));
-  for (std::uint64_t i = 0; i < ndiag; ++i) {
-    r.expect("d");
+  const std::size_t ndiag = r.count("diagnostics count", kMinDiagnosticBytes);
+  res.diagnostics.reserve(ndiag);
+  for (std::size_t i = 0; i < ndiag; ++i) {
     StageRecord rec;
-    rec.name = unescape(r.token("diagnostic name"));
-    rec.millis = r.dbl("diagnostic millis");
+    rec.name = r.str("diagnostic name");
+    rec.millis = r.f64("diagnostic millis");
     rec.checked = r.boolean("diagnostic checked");
-    rec.note = unescape(r.token("diagnostic note"));
+    rec.note = r.str("diagnostic note");
     res.diagnostics.push_back(std::move(rec));
   }
 
-  r.expect("validation");
-  const std::uint64_t status = r.u64("validation status");
-  if (status > static_cast<std::uint64_t>(ValidationStatus::Inconclusive))
+  ValidationReport& v = res.validation;
+  const unsigned status = r.byte("validation status");
+  if (status > static_cast<unsigned>(ValidationStatus::Inconclusive))
     fail("unknown validation status");
-  res.validation.status = static_cast<ValidationStatus>(status);
-  res.validation.frame_checked = r.boolean("frame_checked");
-  res.validation.frame_ok = r.boolean("frame_ok");
-  res.validation.exact_checked = r.boolean("exact_checked");
-  res.validation.exact_infidelity = r.dbl("exact_infidelity");
-  res.validation.message = unescape(r.token("validation message"));
-  const std::uint64_t nterms = r.u64("realized order count");
-  res.validation.realized_order.reserve(static_cast<std::size_t>(nterms));
-  for (std::uint64_t i = 0; i < nterms; ++i) {
-    r.expect("t");
-    const std::string label = unescape(r.token("term label"));
-    const double coeff = r.dbl("term coeff");
+  v.status = static_cast<ValidationStatus>(status);
+  const unsigned flags = r.byte("validation flags");
+  if ((flags & ~(kFrameChecked | kFrameOk | kExactChecked)) != 0)
+    fail("unknown validation flag bits");
+  v.frame_checked = (flags & kFrameChecked) != 0;
+  v.frame_ok = (flags & kFrameOk) != 0;
+  v.exact_checked = (flags & kExactChecked) != 0;
+  v.exact_infidelity = r.f64("exact_infidelity");
+  v.message = r.str("validation message");
+  const std::size_t nterms = r.count("realized order count", kMinTermBytes);
+  v.realized_order.reserve(nterms);
+  for (std::size_t i = 0; i < nterms; ++i) {
+    const std::string label = r.str("term label");
+    const double coeff = r.f64("term coeff");
     try {
-      res.validation.realized_order.emplace_back(label, coeff);
+      v.realized_order.emplace_back(label, coeff);
     } catch (const std::exception& e) {
       fail(std::string("bad Pauli label in realized order: ") + e.what());
     }
   }
-  r.expect("end");
-  // A well-formed document ends at "end". Anything after it — a second
-  // concatenated document, garbage from a mis-framed network read — means
-  // the caller's byte stream does not hold exactly one result, and silently
-  // accepting it would let a corrupted frame round-trip as "valid".
-  std::string trailing;
-  if (r.in >> trailing)
-    fail("trailing bytes after 'end' (starting with '" + trailing + "')");
+  // The input must hold exactly one result: a second concatenated result or
+  // garbage from a mis-framed network read would otherwise round-trip as
+  // "valid".
+  if (r.left() != 0)
+    fail(std::to_string(r.left()) + " trailing bytes after the result");
   return res;
 }
-
-std::string wire_escape(const std::string& s) { return escape(s); }
-
-std::string wire_unescape(const std::string& token) {
-  return unescape(token);
-}
-
-std::string wire_double_bits(double d) { return double_bits(d); }
 
 std::size_t compile_result_approx_bytes(const CompileResult& r) {
   std::size_t b = sizeof(CompileResult);

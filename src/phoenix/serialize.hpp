@@ -7,49 +7,65 @@
 
 namespace phoenix {
 
-/// Versioned, platform-independent serialization of a CompileResult — the
-/// payload of the compile cache's on-disk entries.
+/// Versioned, platform-independent binary encoding of a CompileResult: the
+/// payload of a wire `Result` frame, of the compile cache's on-disk entries
+/// and of every in-process round trip.
 ///
-/// Format: a line-oriented text document starting with the schema tag
-/// `phoenix-compile-result v<N>`. Loaders reject any other version, so a
-/// format change invalidates every persisted entry instead of misreading it
-/// (the request fingerprint carries its own schema version for the same
-/// reason — see src/service/fingerprint.hpp).
+/// Layout (every multi-byte value little-endian; "varint" is unsigned
+/// LEB128 of at most 10 bytes):
 ///
-/// All doubles (rotation angles, stage timings, infidelities) are encoded as
-/// the hex of their IEEE-754 bit pattern, so a round-trip is bit-identical —
-/// a cache hit served from disk must reproduce the cold compile's circuit
-/// exactly, not merely to printf precision.
+///   "PHXR"  varint kCompileResultSchemaVersion
+///   circuit           varint qubits, varint gate count, gates
+///   logical           byte 0 (equals `circuit` field for field) or
+///                     byte 1 followed by a circuit
+///   counts            varint num_swaps, num_groups, bsf_epochs
+///   layouts           initial then final: varint size, varint entries
+///   diagnostics       varint count; each: string name, f64 millis,
+///                     byte checked, string note
+///   validation        byte status, byte flags (frame_checked = 1,
+///                     frame_ok = 2, exact_checked = 4), f64
+///                     exact_infidelity, string message, varint count;
+///                     each realized term: string label, f64 coeff
 ///
-/// Scope: the semantic artifacts (both circuits, SWAP/group/epoch counts,
-/// layouts, stage diagnostics, validation verdict + realized order). The
-/// trace `stats` member is deliberately NOT serialized: it describes one
-/// concrete run's timings and thread interleavings, not the compile
-/// artifact; deserialized results carry an empty (disabled) CompileStats.
-inline constexpr int kCompileResultSchemaVersion = 1;
+/// A gate is one kind byte (low 5 bits GateKind, 0x20 = param follows,
+/// 0x40 = q1 follows, 0x80 must be clear), varint q0, varint q1 if flagged,
+/// f64 param if flagged, and for Su4 a varint sub-gate count plus the
+/// sub-gates (nested at most 4 deep). The param travels for rotations and
+/// for any gate whose param bits are non-zero; q1 travels for 2Q gates and
+/// whenever it is non-zero — so every Gate field round-trips exactly.
+/// Strings are a varint length plus raw bytes; f64 is the IEEE-754 bit
+/// pattern, so a round trip is bit-identical (a cache hit served from disk
+/// reproduces the cold compile's circuit exactly, not merely to printf
+/// precision).
+///
+/// Loaders reject any other schema version, so a format change invalidates
+/// every persisted entry instead of misreading it (the request fingerprint
+/// carries its own schema version for the same reason — see
+/// src/service/fingerprint.hpp).
+///
+/// Scope: the semantic artifacts listed above. The trace `stats` member is
+/// deliberately NOT serialized: it describes one concrete run's timings and
+/// thread interleavings, not the compile artifact; deserialized results
+/// carry an empty (disabled) CompileStats.
+inline constexpr int kCompileResultSchemaVersion = 2;
 
-/// Serialize `r` (minus `stats`, see above).
+/// Encode `r` (minus `stats`, see above).
 std::string compile_result_to_bytes(const CompileResult& r);
 
-/// Parse a `compile_result_to_bytes` document. Throws phoenix::Error
-/// (Stage::Parse) on a stale or foreign schema tag, truncation, any
-/// malformed field, or trailing bytes after the final `end` token — the
-/// input must hold exactly one document, so concatenated or mis-framed
-/// network payloads cannot round-trip as a valid result.
+/// Decode a `compile_result_to_bytes` payload. Throws phoenix::Error
+/// (Stage::Parse) on a foreign magic or schema version, truncation, any
+/// malformed field (unknown gate kind or flag bits, a qubit outside the
+/// register, an unknown validation status, a varint over 10 bytes or 64
+/// bits), or any byte after the last field — the input must hold exactly
+/// one result, so concatenated or mis-framed network payloads cannot
+/// round-trip as valid. Every element count is checked against the bytes
+/// left before anything is reserved, so hostile input never triggers a
+/// large allocation.
 CompileResult compile_result_from_bytes(const std::string& bytes);
 
 /// Estimated resident size of a result in bytes (gates, sub-gates, layouts,
 /// diagnostic strings). Used by the compile cache's byte budget; an estimate
 /// on the high side of shallow sizeof, deliberately cheap rather than exact.
 std::size_t compile_result_approx_bytes(const CompileResult& r);
-
-/// Token-level encoding shared by every phoenix wire document (this result
-/// format and the service/protocol.hpp request frames): strings travel as
-/// single whitespace-free tokens ('%'-escaped), doubles as the hex of their
-/// IEEE-754 bit pattern so round-trips are bit-identical.
-std::string wire_escape(const std::string& s);
-/// Throws phoenix::Error (Stage::Parse) on a malformed escape.
-std::string wire_unescape(const std::string& token);
-std::string wire_double_bits(double d);
 
 }  // namespace phoenix

@@ -8,17 +8,18 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <list>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/trace.hpp"
@@ -36,34 +37,45 @@ struct Entry {
   std::size_t bytes = 0;
 };
 
-/// Trailing integrity line appended after the serialized payload:
-/// `checksum <32-hex Hash128 of payload> <payload length>\n`. A reader that
-/// cannot reproduce the digest over exactly that prefix is looking at a torn
-/// write, bit rot, or a pre-footer legacy file — all treated as corrupt.
-std::string checksum_footer(const std::string& payload) {
+/// Fixed-size integrity trailer appended after the encoded payload, found
+/// from the end of the file:
+///
+///   u64 payload length | u64 digest.hi | u64 digest.lo | "PHXK"
+///
+/// (integers little-endian; the digest is the Hash128 of the payload). A
+/// reader that cannot reproduce the digest over exactly that prefix is
+/// looking at a torn write, bit rot, or a file an older build wrote — all
+/// treated as corrupt.
+constexpr char kFooterMagic[4] = {'P', 'H', 'X', 'K'};
+constexpr std::size_t kFooterBytes = 3 * 8 + sizeof kFooterMagic;
+
+Digest128 payload_digest(const char* data, std::size_t len) {
   Hash128 h;
-  h.write_bytes(payload.data(), payload.size());
-  return "checksum " + h.digest().hex() + " " +
-         std::to_string(payload.size()) + "\n";
+  h.write_bytes(data, len);
+  return h.digest();
+}
+
+void append_footer(std::string& payload) {
+  const Digest128 d = payload_digest(payload.data(), payload.size());
+  put_u64(payload, payload.size());
+  put_u64(payload, d.hi);
+  put_u64(payload, d.lo);
+  payload.append(kFooterMagic, sizeof kFooterMagic);
 }
 
 /// Validate `blob` (payload + footer) in place: on success truncates it to
 /// the bare payload and returns true.
 bool verify_and_strip_footer(std::string& blob) {
-  if (blob.empty() || blob.back() != '\n') return false;
-  const std::size_t line_start = blob.rfind('\n', blob.size() - 2);
-  const std::size_t footer = line_start == std::string::npos ? 0
-                                                             : line_start + 1;
-  std::istringstream line(blob.substr(footer, blob.size() - footer - 1));
-  std::string tag, hex;
-  std::uint64_t len = 0;
-  if (!(line >> tag >> hex >> len) || tag != "checksum") return false;
-  const auto digest = Digest128::from_hex(hex);
-  if (!digest.has_value() || len != footer) return false;
-  Hash128 h;
-  h.write_bytes(blob.data(), footer);
-  if (h.digest() != *digest) return false;
-  blob.resize(footer);
+  if (blob.size() < kFooterBytes) return false;
+  const std::size_t len = blob.size() - kFooterBytes;
+  const auto* footer =
+      reinterpret_cast<const unsigned char*>(blob.data()) + len;
+  if (std::memcmp(footer + 24, kFooterMagic, sizeof kFooterMagic) != 0 ||
+      get_u64(footer) != len)
+    return false;
+  const Digest128 want{get_u64(footer + 8), get_u64(footer + 16)};
+  if (payload_digest(blob.data(), len) != want) return false;
+  blob.resize(len);
   return true;
 }
 
@@ -337,7 +349,7 @@ struct CompileCache::Impl {
     // temp from a crashed one's.
     const std::string tmp = path + tmp_stamp_suffix();
     std::string doc = compile_result_to_bytes(value);
-    doc += checksum_footer(doc);
+    append_footer(doc);
     for (std::size_t attempt = 0; attempt <= opt.disk_retry_limit; ++attempt) {
       if (attempt > 0) {
         disk_retries.fetch_add(1, std::memory_order_relaxed);
@@ -371,12 +383,17 @@ CompileCache::CompileCache(CacheOptions opt)
 
 CompileCache::~CompileCache() = default;
 
-CompileCache::ResultPtr CompileCache::get(const Digest128& key) {
-  if (ResultPtr hit = impl_->lookup_memory(key)) {
+CompileCache::ResultPtr CompileCache::get_resident(const Digest128& key) {
+  ResultPtr hit = impl_->lookup_memory(key);
+  if (hit != nullptr) {
     impl_->hits.fetch_add(1, std::memory_order_relaxed);
     trace_count("service.cache.hits", 1);
-    return hit;
   }
+  return hit;
+}
+
+CompileCache::ResultPtr CompileCache::get(const Digest128& key) {
+  if (ResultPtr hit = get_resident(key)) return hit;
   if (ResultPtr disk = impl_->lookup_disk(key)) {
     impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
     trace_count("service.cache.disk_hits", 1);

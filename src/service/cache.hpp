@@ -25,8 +25,9 @@ struct CacheOptions {
   /// `<disk_dir>/<hh>/<fingerprint-hex>.phxc`, where `<hh>` is the first
   /// two hex digits of the fingerprint — 256 shard subdirectories, so a
   /// fleet of daemons sharing one cache tier spreads directory traffic and
-  /// a shard can be rsynced/evicted independently. Entries are versioned
-  /// compile_result_to_bytes documents followed by a checksum footer,
+  /// a shard can be rsynced/evicted independently. Entries are the binary
+  /// compile_result_to_bytes payload followed by a fixed-size checksum
+  /// trailer (payload length, Hash128 of the payload, magic "PHXK"),
   /// written via temp-file + fsync + rename + directory fsync so a crash
   /// never publishes a partial entry. The layout is safe across processes:
   /// readers are lock-free (they only ever open published files, and
@@ -35,7 +36,8 @@ struct CacheOptions {
   /// temp name — two daemons racing the same fingerprint both publish
   /// bit-identical bytes, so whichever rename lands last is equivalent.
   /// Misses consult the directory and promote parses into memory; stale
-  /// schema tags, torn writes, and checksum mismatches count as
+  /// schema versions (including the text entries of older builds), torn
+  /// writes, and checksum mismatches count as
   /// `disk_rejects`, move the damaged file to `<name>.quarantine`, and fall
   /// through to a normal miss (the entry is recompiled and rewritten).
   /// Entries persisted by older builds into the flat (unsharded) layout are
@@ -72,6 +74,10 @@ class CompileCache {
 
   /// Memory first, then disk (when configured). Returns nullptr on miss.
   ResultPtr get(const Digest128& key);
+
+  /// Memory tier only: no disk I/O, so it is safe to call under a caller's
+  /// lock. Counts a hit when the entry is resident and nothing otherwise.
+  ResultPtr get_resident(const Digest128& key);
 
   /// Insert (or refresh) an entry; evicts LRU entries past the byte budget
   /// and, when disk persistence is on, writes the entry through.

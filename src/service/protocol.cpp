@@ -2,12 +2,13 @@
 
 #include <bit>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "phoenix/serialize.hpp"
 
 namespace phoenix {
 
@@ -17,38 +18,61 @@ namespace {
   throw Error(Stage::Parse, "phoenix-protocol: " + detail);
 }
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out += static_cast<char>(v & 0xff);
-  out += static_cast<char>((v >> 8) & 0xff);
+// --- text tokens of the request and error payloads ---------------------------
+
+/// Strings (Pauli labels, error details) as single whitespace-free tokens:
+/// '%'-escape '%', whitespace and control bytes; the empty string is the
+/// token "%e".
+std::string escape(const std::string& s) {
+  if (s.empty()) return "%e";
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size());
+  for (const unsigned char c : s) {
+    if (c == '%' || c <= ' ' || c == 0x7f) {
+      out += '%';
+      out += digits[c >> 4];
+      out += digits[c & 0xf];
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
+int hex_nibble(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  return -1;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+std::string unescape(const std::string& s) {
+  if (s == "%e") return {};
+  std::string out;
+  out.reserve(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '%') {
+      out += s[i];
+      continue;
+    }
+    if (i + 2 >= s.size()) fail("truncated escape in string token");
+    const int hi = hex_nibble(s[i + 1]), lo = hex_nibble(s[i + 2]);
+    if (hi < 0 || lo < 0) fail("bad escape in string token");
+    out += static_cast<char>(hi * 16 + lo);
+    i += 2;
+  }
+  return out;
 }
 
-std::uint16_t get_u16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+/// Doubles as the 16 hex digits of their IEEE-754 bit pattern, so a round
+/// trip is bit-identical.
+std::string double_bits(double d) {
+  char buf[17];
+  const std::uint64_t v = std::bit_cast<std::uint64_t>(d);
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
 }
 
-std::uint32_t get_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-/// Same token-stream reader idiom as phoenix/serialize.cpp.
 struct Reader {
   std::istringstream in;
   explicit Reader(const std::string& bytes) : in(bytes) {}
@@ -80,9 +104,7 @@ struct Reader {
     if (t.size() != 16) fail("malformed u64 hex for " + std::string(what));
     std::uint64_t v = 0;
     for (const char c : t) {
-      int n = -1;
-      if (c >= '0' && c <= '9') n = c - '0';
-      else if (c >= 'a' && c <= 'f') n = c - 'a' + 10;
+      const int n = hex_nibble(c);
       if (n < 0) fail("malformed u64 hex for " + std::string(what));
       v = (v << 4) | static_cast<std::uint64_t>(n);
     }
@@ -182,8 +204,8 @@ std::string compile_request_to_bytes(const CompileRequest& req, int priority) {
   out << "phoenix-compile-request v" << kCompileRequestSchemaVersion << '\n';
   out << "qubits " << req.num_qubits << " terms " << req.terms.size() << '\n';
   for (const PauliTerm& t : req.terms)
-    out << "t " << wire_escape(t.string.to_string()) << ' '
-        << wire_double_bits(t.coeff) << '\n';
+    out << "t " << escape(t.string.to_string()) << ' '
+        << double_bits(t.coeff) << '\n';
   const PhoenixOptions& o = req.options;
   out << "options " << static_cast<unsigned>(o.isa) << ' '
       << static_cast<unsigned>(o.peephole) << ' '
@@ -198,8 +220,8 @@ std::string compile_request_to_bytes(const CompileRequest& req, int priority) {
   } else {
     out << "coupling 0 0\n";
   }
-  out << "deadline " << wire_double_bits(req.deadline_ms) << " priority "
-      << wire_double_bits(static_cast<double>(priority)) << '\n';
+  out << "deadline " << double_bits(req.deadline_ms) << " priority "
+      << double_bits(static_cast<double>(priority)) << '\n';
   out << "end\n";
   return out.str();
 }
@@ -222,7 +244,7 @@ CompileRequest compile_request_from_bytes(const std::string& bytes,
   req.terms.reserve(static_cast<std::size_t>(nterms));
   for (std::uint64_t i = 0; i < nterms; ++i) {
     r.expect("t");
-    const std::string label = wire_unescape(r.token("term label"));
+    const std::string label = unescape(r.token("term label"));
     const double coeff = r.dbl("term coeff");
     try {
       req.terms.emplace_back(label, coeff);
@@ -289,7 +311,7 @@ CompileRequest compile_request_from_bytes(const std::string& bytes,
 std::string error_to_payload(const Error& e) {
   std::ostringstream out;
   out << "err " << static_cast<unsigned>(e.kind()) << ' '
-      << static_cast<unsigned>(e.stage()) << ' ' << wire_escape(e.detail());
+      << static_cast<unsigned>(e.stage()) << ' ' << escape(e.detail());
   return out.str();
 }
 
@@ -298,7 +320,7 @@ Error error_from_payload(const std::string& payload) {
   r.expect("err");
   const std::uint64_t kind = r.u64("error kind");
   const std::uint64_t stage = r.u64("error stage");
-  const std::string detail = wire_unescape(r.token("error detail"));
+  const std::string detail = unescape(r.token("error detail"));
   const Error::Kind k =
       kind <= static_cast<std::uint64_t>(Error::Kind::Overloaded)
           ? static_cast<Error::Kind>(kind)

@@ -23,10 +23,14 @@ namespace phoenix {
 ///
 /// Versioning rules: the magic + version pair is checked on every frame, not
 /// once per connection, so a stale client fails fast with a structured
-/// error instead of desynchronizing the stream. Payload documents carry
-/// their own schema tags (`phoenix-compile-request v<N>`,
-/// `phoenix-compile-result v<N>`) exactly like the disk cache entries, so
-/// protocol framing and payload schema can evolve independently.
+/// error instead of desynchronizing the stream. Each payload carries its own
+/// schema tag, so protocol framing and payload schemas evolve
+/// independently: the `Result` payload is the binary CompileResult encoding
+/// of phoenix/serialize.hpp (magic `PHXR` + schema version, the same bytes
+/// the disk cache persists), while Submit, ErrorReply, SubmitAck, Status,
+/// CancelAck and StatsReply payloads stay whitespace-separated text tokens
+/// (the Submit document opens with `phoenix-compile-request v<N>`; strings
+/// are '%'-escaped, doubles travel as the hex of their IEEE-754 bits).
 ///
 /// Conversation model: the client multiplexes requests on one connection by
 /// request_id. `Submit` is answered immediately with `SubmitAck` (the

@@ -73,45 +73,6 @@ struct ServedServer::Impl {
   std::atomic<std::uint64_t> wire_hits{0};
   std::atomic<std::uint64_t> reply_batches{0};
 
-  /// Serialized-result memo. compile_result_to_bytes costs milliseconds for
-  /// large programs — orders of magnitude more than the cache lookup it
-  /// follows — so serving a warm hit must not re-serialize. Keyed by the
-  /// request fingerprint (compiles are deterministic: fingerprint ->
-  /// result -> bytes), LRU-bounded, shared across connections.
-  static constexpr std::size_t kSerializedMemoMax = 64;
-  std::mutex ser_mu;
-  std::list<std::pair<Digest128, std::shared_ptr<const std::string>>> ser_lru;
-  std::unordered_map<std::string, decltype(ser_lru)::iterator> ser_map;
-
-  std::shared_ptr<const std::string> serialized_result(
-      const Digest128& fp, const CompileResult& res) {
-    const std::string key = fp.hex();
-    {
-      std::lock_guard<std::mutex> lk(ser_mu);
-      const auto it = ser_map.find(key);
-      if (it != ser_map.end()) {
-        ser_lru.splice(ser_lru.begin(), ser_lru, it->second);
-        trace_count("net.serialize_memo_hits", 1);
-        return it->second->second;
-      }
-    }
-    // Serialize outside the lock; a racing duplicate costs one extra
-    // serialization, never a wrong answer.
-    auto bytes =
-        std::make_shared<const std::string>(compile_result_to_bytes(res));
-    std::lock_guard<std::mutex> lk(ser_mu);
-    if (ser_map.find(key) == ser_map.end()) {
-      ser_lru.emplace_front(fp, bytes);
-      ser_map.emplace(key, ser_lru.begin());
-      while (ser_lru.size() > kSerializedMemoMax) {
-        ser_map.erase(ser_lru.back().first.hex());
-        ser_lru.pop_back();
-      }
-    }
-    trace_count("net.serialize_memo_misses", 1);
-    return bytes;
-  }
-
   /// Wire-level reply memo: hash of the raw Submit PAYLOAD bytes -> the
   /// finished reply (fingerprint + shared serialized Result). A repeated
   /// byte-identical submission is answered without parsing the request,
@@ -200,12 +161,12 @@ struct ServedServer::Impl {
   }
 
   /// The one terminal reply for a submission, from the cold path's waiter
-  /// thread and the warm path's reader alike: Result built straight from
-  /// the shared serialized bytes on success, ErrorReply on failure, cancel
-  /// or deadline. `bytes` may already hold the warm path's SubmitAck, which
-  /// then rides the same write; `batch` is as in emit(). A `tracked`
-  /// (cold) submission is retired from the connection first. Returns the
-  /// Result bytes, or nullptr when an ErrorReply went out.
+  /// thread and the warm path's reader alike: Result carrying the encoded
+  /// result on success, ErrorReply on failure, cancel or deadline. `bytes`
+  /// may already hold the warm path's SubmitAck, which then rides the same
+  /// write; `batch` is as in emit(). A `tracked` (cold) submission is
+  /// retired from the connection first. Returns the Result payload, or
+  /// nullptr when an ErrorReply went out.
   std::shared_ptr<const std::string> send_terminal(
       Conn& c, std::uint64_t request_id, CompileService::Ticket ticket,
       std::string bytes, std::string* batch, bool tracked) {
@@ -213,7 +174,8 @@ struct ServedServer::Impl {
     try {
       const CompileService::ResultPtr res = ticket.get();
       if (res != nullptr) {
-        result = serialized_result(ticket.fingerprint(), *res);
+        result =
+            std::make_shared<const std::string>(compile_result_to_bytes(*res));
         append_frame(bytes, FrameType::Result, request_id, *result);
       } else {
         append_frame(bytes, FrameType::ErrorReply, request_id,
@@ -238,18 +200,19 @@ struct ServedServer::Impl {
       }
       in_flight.fetch_sub(1, std::memory_order_relaxed);
     }
+    // Counted before the write, like the ticket retirement above, so a
+    // client that reads the reply and then asks for stats sees it counted;
+    // a failed write takes the count back.
+    std::atomic<std::uint64_t>& sent =
+        result != nullptr ? results : errors_sent;
+    sent.fetch_add(1, std::memory_order_relaxed);
     try {
       emit(c, std::move(bytes), batch);
     } catch (...) {
+      sent.fetch_sub(1, std::memory_order_relaxed);
       return nullptr;  // the peer is gone; its reader will notice
     }
-    if (result != nullptr) {
-      results.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.results", 1);
-    } else {
-      errors_sent.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.errors_sent", 1);
-    }
+    trace_count(result != nullptr ? "net.results" : "net.errors_sent", 1);
     return result;
   }
 

@@ -122,10 +122,15 @@ struct CompileService::Impl {
   /// the table lock, so a flight with a live joiner is never abandoned.
   /// Joining relaxes the flight's deadline to cover the new joiner (a
   /// no-deadline joiner removes it: the compile must outlive its most
-  /// patient waiter).
+  /// patient waiter). With no flight in the table, the memory tier is
+  /// checked again under the lock before a flight is created: a flight that
+  /// published between the caller's cache miss and this lock has already
+  /// put its result, so the caller takes it (`hit`, counted as a cache hit)
+  /// instead of compiling a second time.
   struct JoinResult {
     std::shared_ptr<Flight> flight;
     bool created = false;
+    ResultPtr hit;
   };
   static void relax_deadline(Flight& flight, double deadline_ms) {
     flight.source.extend_deadline(request_deadline(deadline_ms));
@@ -135,12 +140,13 @@ struct CompileService::Impl {
     if (const auto it = flights.find(fp); it != flights.end()) {
       it->second->interest.fetch_add(1, std::memory_order_relaxed);
       relax_deadline(*it->second, req.deadline_ms);
-      return {it->second, false};
+      return {it->second, false, nullptr};
     }
+    if (ResultPtr hit = cache.get_resident(fp)) return {nullptr, false, hit};
     auto flight = std::make_shared<Flight>(fp, req.deadline_ms, req.cancel);
     flight->interest.store(1, std::memory_order_relaxed);
     flights[fp] = flight;
-    return {flight, true};
+    return {flight, true, nullptr};
   }
 
   /// join_or_create plus admission control for the async path: creating a
@@ -157,8 +163,9 @@ struct CompileService::Impl {
     if (const auto it = flights.find(fp); it != flights.end()) {
       it->second->interest.fetch_add(1, std::memory_order_relaxed);
       relax_deadline(*it->second, req.deadline_ms);
-      return {it->second, false};
+      return {it->second, false, nullptr};
     }
+    if (ResultPtr hit = cache.get_resident(fp)) return {nullptr, false, hit};
     if (max_queue > 0 && queued.size() >= max_queue) {
       auto victim = queued.end();
       for (auto it = queued.begin(); it != queued.end(); ++it)
@@ -187,12 +194,13 @@ struct CompileService::Impl {
     flights[fp] = flight;
     queued[fp] = {flight, priority};
     queue_depth.fetch_add(1, std::memory_order_relaxed);
-    return {flight, true};
+    return {flight, true, nullptr};
   }
 
   /// Run the compile this flight owns and publish the result: cache first,
-  /// then retire the flight from the table, then resolve the future (no
-  /// window where a new request finds neither cache entry nor flight).
+  /// then retire the flight from the table, then resolve the future. A
+  /// request that missed the cache before the put finds either the flight
+  /// or, through the re-check in join_or_create / admit_or_join, the entry.
   ResultPtr run_flight(const std::shared_ptr<Flight>& flight,
                        const CompileRequest& req) {
     compiles.fetch_add(1, std::memory_order_relaxed);
@@ -275,6 +283,7 @@ struct CompileService::Impl {
     for (;;) {
       if (ResultPtr hit = cache.get(fp)) return hit;
       const JoinResult j = join_or_create(req, fp);
+      if (j.hit != nullptr) return j.hit;
       if (j.created) {
         j.flight->started.store(true, std::memory_order_relaxed);
         CompileRequest effective = req;
@@ -446,6 +455,10 @@ CompileService::Ticket CompileService::submit(CompileRequest req,
         Error(Error::Kind::Overloaded, Stage::Service,
               "CompileService: compile shed by a higher-priority "
               "submission")));
+  }
+  if (j.hit != nullptr) {
+    ticket.state_->ready = j.hit;
+    return ticket;
   }
   ticket.state_->flight = j.flight;
   if (!j.created) {

@@ -109,7 +109,7 @@ TEST(Protocol, TruncatedFramesNeedMoreAtEveryPrefixLength) {
   Frame f;
   f.type = FrameType::Result;
   f.request_id = 7;
-  f.payload = "phoenix-compile-result v1 ...";
+  f.payload = std::string("PHXR\x02\x04\x00", 7);
   const std::string bytes = encode_frame(f);
   Frame out;
   std::size_t consumed = 1;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <barrier>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
@@ -230,101 +231,231 @@ TEST(Fingerprint, CouplingEdgeSetMatters) {
 
 // --- serialization ----------------------------------------------------------
 
+void expect_results_identical(const CompileResult& a, const CompileResult& b) {
+  expect_circuits_identical(a.circuit, b.circuit);
+  expect_circuits_identical(a.logical, b.logical);
+  EXPECT_EQ(a.num_swaps, b.num_swaps);
+  EXPECT_EQ(a.num_groups, b.num_groups);
+  EXPECT_EQ(a.bsf_epochs, b.bsf_epochs);
+  EXPECT_EQ(a.initial_layout, b.initial_layout);
+  EXPECT_EQ(a.final_layout, b.final_layout);
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
+  for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
+    EXPECT_EQ(a.diagnostics[i].name, b.diagnostics[i].name);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.diagnostics[i].millis),
+              std::bit_cast<std::uint64_t>(b.diagnostics[i].millis));
+    EXPECT_EQ(a.diagnostics[i].checked, b.diagnostics[i].checked);
+    EXPECT_EQ(a.diagnostics[i].note, b.diagnostics[i].note);
+  }
+  const ValidationReport &va = a.validation, &vb = b.validation;
+  EXPECT_EQ(va.status, vb.status);
+  EXPECT_EQ(va.frame_checked, vb.frame_checked);
+  EXPECT_EQ(va.frame_ok, vb.frame_ok);
+  EXPECT_EQ(va.exact_checked, vb.exact_checked);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(va.exact_infidelity),
+            std::bit_cast<std::uint64_t>(vb.exact_infidelity));
+  EXPECT_EQ(va.message, vb.message);
+  ASSERT_EQ(va.realized_order.size(), vb.realized_order.size());
+  for (std::size_t i = 0; i < va.realized_order.size(); ++i) {
+    EXPECT_EQ(va.realized_order[i].string, vb.realized_order[i].string);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(va.realized_order[i].coeff),
+              std::bit_cast<std::uint64_t>(vb.realized_order[i].coeff));
+  }
+}
+
+/// Decode, compare field for field, and re-encode: a second encode of the
+/// decode is byte-identical, so the format is a fixed point, not merely
+/// tolerant.
+void expect_round_trip(const CompileResult& cold) {
+  const std::string bytes = compile_result_to_bytes(cold);
+  const CompileResult back = compile_result_from_bytes(bytes);
+  expect_results_identical(cold, back);
+  EXPECT_EQ(bytes, compile_result_to_bytes(back));
+}
+
 TEST(SerializeResult, RoundTripIsBitIdentical) {
   const auto& b = lih_bk();
   PhoenixOptions opt;
   opt.validation.level = ValidationLevel::Cheap;
-  const CompileResult cold = phoenix_compile(b.terms, b.num_qubits, opt);
-
-  const std::string bytes = compile_result_to_bytes(cold);
-  const CompileResult back = compile_result_from_bytes(bytes);
-
-  expect_circuits_identical(cold.circuit, back.circuit);
-  expect_circuits_identical(cold.logical, back.logical);
-  EXPECT_EQ(cold.num_swaps, back.num_swaps);
-  EXPECT_EQ(cold.num_groups, back.num_groups);
-  EXPECT_EQ(cold.bsf_epochs, back.bsf_epochs);
-  EXPECT_EQ(cold.initial_layout, back.initial_layout);
-  EXPECT_EQ(cold.final_layout, back.final_layout);
-  ASSERT_EQ(cold.diagnostics.size(), back.diagnostics.size());
-  for (std::size_t i = 0; i < cold.diagnostics.size(); ++i) {
-    EXPECT_EQ(cold.diagnostics[i].name, back.diagnostics[i].name);
-    EXPECT_EQ(cold.diagnostics[i].note, back.diagnostics[i].note);
-    EXPECT_EQ(cold.diagnostics[i].checked, back.diagnostics[i].checked);
-  }
-  EXPECT_EQ(cold.validation.status, back.validation.status);
-  EXPECT_EQ(cold.validation.realized_order.size(),
-            back.validation.realized_order.size());
-
-  // A second encode of the decode is byte-identical: the format is a fixed
-  // point, not merely tolerant.
-  EXPECT_EQ(bytes, compile_result_to_bytes(back));
+  expect_round_trip(phoenix_compile(b.terms, b.num_qubits, opt));
 }
 
+// A Cheap-validated routed result exercises every field of the encoding:
+// layouts, diagnostics, the realized order, and a logical circuit that
+// differs from the routed one (so it travels in full).
 TEST(SerializeResult, HardwareAwareRoundTripKeepsLayouts) {
   const Graph device = topology_manhattan();
   PhoenixOptions opt;
   opt.hardware_aware = true;
   opt.coupling = &device;
-  const CompileResult cold =
-      phoenix_compile(small_terms(), 4, opt);
+  opt.validation.level = ValidationLevel::Cheap;
+  const auto& b = lih_bk();
+  const CompileResult cold = phoenix_compile(b.terms, b.num_qubits, opt);
+  ASSERT_EQ(cold.validation.status, ValidationStatus::Pass);
   ASSERT_FALSE(cold.initial_layout.empty());
+  ASSERT_FALSE(cold.diagnostics.empty());
+  ASSERT_FALSE(cold.validation.realized_order.empty());
+  ASSERT_NE(cold.logical.num_qubits(), cold.circuit.num_qubits());
+  expect_round_trip(cold);
+}
 
-  const CompileResult back =
-      compile_result_from_bytes(compile_result_to_bytes(cold));
-  expect_circuits_identical(cold.circuit, back.circuit);
-  EXPECT_EQ(cold.initial_layout, back.initial_layout);
-  EXPECT_EQ(cold.final_layout, back.final_layout);
-  EXPECT_EQ(cold.num_swaps, back.num_swaps);
+/// Byte offset of the schema version varint (right after the magic).
+constexpr std::size_t kSchemaVersionAt = 4;
+
+bool rejected_as_parse_error(const std::string& bytes) {
+  try {
+    compile_result_from_bytes(bytes);
+  } catch (const Error& e) {
+    return e.stage() == Stage::Parse;
+  }
+  return false;
 }
 
 TEST(SerializeResult, RejectsStaleOrForeignSchema) {
   const CompileResult cold = phoenix_compile(small_terms(), 4);
   std::string bytes = compile_result_to_bytes(cold);
+  ASSERT_EQ(bytes.substr(0, kSchemaVersionAt), "PHXR");
+  ASSERT_EQ(bytes[kSchemaVersionAt], kCompileResultSchemaVersion);
 
-  std::string stale = bytes;
-  const std::size_t at = stale.find("v1");
-  ASSERT_NE(at, std::string::npos);
-  stale.replace(at, 2, "v0");
-  EXPECT_THROW(
-      {
-        try {
-          compile_result_from_bytes(stale);
-        } catch (const Error& e) {
-          EXPECT_EQ(e.stage(), Stage::Parse);
-          throw;
-        }
-      },
-      Error);
+  for (const int version :
+       {kCompileResultSchemaVersion - 1, kCompileResultSchemaVersion + 1}) {
+    std::string stale = bytes;
+    stale[kSchemaVersionAt] = static_cast<char>(version);
+    EXPECT_TRUE(rejected_as_parse_error(stale)) << "version " << version;
+  }
 
-  EXPECT_THROW(compile_result_from_bytes("not a cache entry"), Error);
-  EXPECT_THROW(compile_result_from_bytes(bytes.substr(0, bytes.size() / 2)),
-               Error);
+  EXPECT_TRUE(rejected_as_parse_error("not a cache entry"));
+  EXPECT_TRUE(rejected_as_parse_error(""));
+  EXPECT_TRUE(rejected_as_parse_error(bytes.substr(0, bytes.size() / 2)));
 }
 
-// Regression: the parser used to stop at the final "end" token and silently
-// ignore whatever followed, so a concatenation of two documents — or a
-// network frame with garbage appended — round-tripped as a "valid" result.
+// A concatenation of two results, or a network frame with garbage appended,
+// must not round-trip as a valid result: every trailing byte is rejected,
+// whitespace too.
 TEST(SerializeResult, RejectsTrailingGarbage) {
   const CompileResult cold = phoenix_compile(small_terms(), 4);
   const std::string bytes = compile_result_to_bytes(cold);
 
   for (const std::string& tail :
-       {std::string("junk"), std::string("end"), bytes}) {
-    EXPECT_THROW(
-        {
-          try {
-            compile_result_from_bytes(bytes + tail);
-          } catch (const Error& e) {
-            EXPECT_EQ(e.stage(), Stage::Parse);
-            throw;
-          }
-        },
-        Error)
+       {std::string("junk"), std::string("end"), bytes, std::string("\n \n"),
+        std::string(1, '\0')}) {
+    EXPECT_TRUE(rejected_as_parse_error(bytes + tail))
         << "trailing bytes accepted: " << tail.substr(0, 16);
   }
-  // Pure trailing whitespace is not garbage (the document is token-based).
-  EXPECT_NO_THROW(compile_result_from_bytes(bytes + "\n \n"));
+}
+
+TEST(SerializeResult, RejectsEveryProperPrefix) {
+  const auto& b = lih_bk();
+  PhoenixOptions opt;
+  opt.validation.level = ValidationLevel::Cheap;
+  const std::string bytes =
+      compile_result_to_bytes(phoenix_compile(b.terms, b.num_qubits, opt));
+  for (std::size_t len = 0; len < bytes.size(); ++len)
+    ASSERT_TRUE(rejected_as_parse_error(bytes.substr(0, len)))
+        << "prefix of " << len << " of " << bytes.size() << " bytes accepted";
+}
+
+void put_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out += static_cast<char>((v & 0x7f) | 0x80);
+  out += static_cast<char>(v);
+}
+
+/// Magic, schema version and a `qubits`-wide register.
+std::string result_header(std::uint64_t qubits) {
+  std::string out = "PHXR";
+  put_varint(out, kCompileResultSchemaVersion);
+  put_varint(out, qubits);
+  return out;
+}
+
+// A count that claims 2^40 elements must be rejected against the bytes
+// actually left, before anything is reserved (a reserve of that size would
+// surface as std::length_error / bad_alloc, not a Parse error).
+TEST(SerializeResult, RejectsHugeCountsWithoutAllocating) {
+  constexpr std::uint64_t kHuge = 1ull << 40;
+  const std::string padding(64, '\0');
+
+  std::string gates = result_header(4);
+  put_varint(gates, kHuge);
+  EXPECT_TRUE(rejected_as_parse_error(gates + padding));
+
+  std::string sub = result_header(4);
+  put_varint(sub, 1);  // one Su4 gate on qubits 0 and 1 ("q1 follows")
+  sub += static_cast<char>(static_cast<unsigned>(GateKind::Su4) | 0x40);
+  put_varint(sub, 0);
+  put_varint(sub, 1);
+  put_varint(sub, kHuge);  // sub-gates
+  EXPECT_TRUE(rejected_as_parse_error(sub + padding));
+
+  std::string layout = result_header(4);
+  put_varint(layout, 0);  // no gates
+  layout += '\0';         // logical == circuit
+  for (int i = 0; i < 3; ++i) put_varint(layout, 0);  // counts
+  put_varint(layout, kHuge);                          // initial layout
+  EXPECT_TRUE(rejected_as_parse_error(layout + padding));
+
+  // A varint of 11 bytes, and a 10-byte one that overflows 64 bits.
+  std::string overlong = result_header(4);
+  overlong += std::string(10, static_cast<char>(0x80)) + '\x01';
+  EXPECT_TRUE(rejected_as_parse_error(overlong + padding));
+  std::string overflow = result_header(4);
+  overflow += std::string(9, static_cast<char>(0xff)) + '\x02';
+  EXPECT_TRUE(rejected_as_parse_error(overflow + padding));
+}
+
+// Every single-bit corruption of a small result either still decodes (a
+// flipped parameter bit is a different, well-formed result) or raises a
+// structured Error — never a crash, a foreign exception type or a huge
+// allocation. The sanitizer builds run this too.
+TEST(SerializeResult, EverySingleBitFlipDecodesOrThrowsError) {
+  PhoenixOptions opt;
+  opt.validation.level = ValidationLevel::Cheap;
+  const std::string bytes =
+      compile_result_to_bytes(phoenix_compile(small_terms(), 4, opt));
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    try {
+      compile_result_from_bytes(flipped);
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SerializeResult, Su4ResultRoundTripsSubGates) {
+  PhoenixOptions opt;
+  opt.isa = TwoQubitIsa::Su4;
+  const auto& b = lih_bk();
+  const CompileResult cold = phoenix_compile(b.terms, b.num_qubits, opt);
+  std::size_t blocks = 0;
+  for (const Gate& g : cold.circuit.gates())
+    blocks += g.kind == GateKind::Su4 && !g.sub.empty();
+  ASSERT_GT(blocks, 0u);
+  expect_round_trip(cold);
+}
+
+// Every Gate field travels, even where the gate kind does not use it: a
+// parameter on a Clifford, a q1 on a 1Q gate, -0.0 and NaN payload bits.
+TEST(SerializeResult, UnusedGateFieldsRoundTripExactly) {
+  CompileResult r;
+  r.circuit = Circuit(3);
+  r.circuit.append(Gate::h(2));
+  Gate odd = Gate::x(1);
+  odd.q1 = 2;
+  odd.param = 0.75;
+  r.circuit.append(odd);
+  r.circuit.append(Gate::rz(0, -0.0));
+  r.circuit.append(Gate::rx(0, std::bit_cast<double>(0x7ff8000000000123ull)));
+  r.circuit.append(Gate::cnot(2, 0));
+  r.logical = r.circuit;
+  expect_round_trip(r);
+  // A logical circuit that differs from `circuit` travels in full.
+  r.logical = Circuit(3);
+  r.logical.append(Gate::h(2));
+  expect_round_trip(r);
 }
 
 // --- cache ------------------------------------------------------------------
@@ -406,58 +537,83 @@ TEST(CompileCache, OversizedEntryIsAdmittedAlone) {
   EXPECT_EQ(cache.counters().entries, 1u);
 }
 
+/// Sharded location of a disk entry (first two hex digits of the key).
+std::string entry_path(const std::string& dir, const Digest128& k) {
+  return dir + "/" + k.hex().substr(0, 2) + "/" + k.hex() + ".phxc";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_file(const std::string& path, const std::string& contents) {
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << contents;
+}
+
+void put_u64_le(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/// The disk tier's integrity trailer as cache.hpp documents it: payload
+/// length, Hash128 of the payload (hi, lo), magic "PHXK".
+std::string with_footer(const std::string& payload) {
+  Hash128 h;
+  h.write_bytes(payload.data(), payload.size());
+  const Digest128 d = h.digest();
+  std::string out = payload;
+  put_u64_le(out, payload.size());
+  put_u64_le(out, d.hi);
+  put_u64_le(out, d.lo);
+  return out + "PHXK";
+}
+
+// The entry is the encoded result plus the trailer, and a fresh cache (a
+// fresh "process") on the same directory hands back the same bytes. A
+// validated routed result exercises every field of the encoding.
 TEST(CompileCache, DiskPersistenceSurvivesProcessBoundary) {
   const TempDir dir("diskcache");
   const Digest128 k = key_of(42);
-  const CompileResult original = phoenix_compile(small_terms(), 4);
+  const Graph device = topology_manhattan();
+  PhoenixOptions popt;
+  popt.hardware_aware = true;
+  popt.coupling = &device;
+  popt.validation.level = ValidationLevel::Cheap;
+  const CompileResult original = phoenix_compile(small_terms(), 4, popt);
+  ASSERT_FALSE(original.validation.realized_order.empty());
+  const std::string bytes = compile_result_to_bytes(original);
+  CacheOptions opt;
+  opt.disk_dir = dir.str();
   {
-    CacheOptions opt;
-    opt.disk_dir = dir.str();
     CompileCache writer(opt);
     writer.put(k, std::make_shared<const CompileResult>(original));
   }
-  // A fresh cache (fresh "process") with the same directory serves the entry.
-  CacheOptions opt;
-  opt.disk_dir = dir.str();
+  EXPECT_EQ(read_file(entry_path(dir.str(), k)), with_footer(bytes));
+
   CompileCache reader(opt);
   const auto loaded = reader.get(k);
   ASSERT_NE(loaded, nullptr);
-  expect_circuits_identical(original.circuit, loaded->circuit);
+  EXPECT_EQ(compile_result_to_bytes(*loaded), bytes);
   EXPECT_EQ(reader.counters().disk_hits, 1u);
   // Second get is served from memory (promoted).
   EXPECT_NE(reader.get(k), nullptr);
   EXPECT_EQ(reader.counters().hits, 1u);
 }
 
+// The stale entry carries a valid footer, so the reject comes from the
+// payload's schema version, not from the checksum.
 TEST(CompileCache, DiskRejectsStaleSchemaTag) {
   const TempDir dir("staledisk");
   const Digest128 k = key_of(43);
-  {
-    CacheOptions opt;
-    opt.disk_dir = dir.str();
-    CompileCache writer(opt);
-    writer.put(k, std::make_shared<const CompileResult>(
-                      phoenix_compile(small_terms(), 4)));
-  }
-  // Corrupt the schema tag in place (entries live in fingerprint-sharded
-  // subdirectories: first two hex digits of the key).
-  const std::string path =
-      dir.str() + "/" + k.hex().substr(0, 2) + "/" + k.hex() + ".phxc";
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    contents = buf.str();
-  }
-  const std::size_t at = contents.find("v1");
-  ASSERT_NE(at, std::string::npos);
-  contents.replace(at, 2, "v0");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << contents;
-  }
+  std::string stale =
+      compile_result_to_bytes(phoenix_compile(small_terms(), 4));
+  stale[kSchemaVersionAt] = static_cast<char>(kCompileResultSchemaVersion - 1);
+  write_file(entry_path(dir.str(), k), with_footer(stale));
 
   CacheOptions opt;
   opt.disk_dir = dir.str();
@@ -466,6 +622,42 @@ TEST(CompileCache, DiskRejectsStaleSchemaTag) {
   const auto c = reader.counters();
   EXPECT_EQ(c.disk_rejects, 1u);
   EXPECT_EQ(c.misses, 1u);
+  EXPECT_TRUE(
+      std::filesystem::exists(entry_path(dir.str(), k) + ".quarantine"));
+}
+
+// An entry an older build wrote — the v1 text document with its
+// `checksum <hex> <len>` footer line — is a disk reject, recompiled and
+// republished in the current format.
+TEST(CompileCache, TextEntryOfAnOlderBuildIsRejectedAndReplaced) {
+  const TempDir dir("textentry");
+  const Digest128 k = key_of(46);
+  const std::string doc =
+      "phoenix-compile-result v1\ncircuit 4 0\nlogical 4 0\ncounts 0 0 0\n"
+      "layout initial 0\nlayout final 0\ndiagnostics 0\n"
+      "validation 2 0 0 0 bff0000000000000 %e 0\nend\n";
+  Hash128 h;
+  h.write_bytes(doc.data(), doc.size());
+  write_file(entry_path(dir.str(), k),
+             doc + "checksum " + h.digest().hex() + " " +
+                 std::to_string(doc.size()) + "\n");
+
+  CacheOptions opt;
+  opt.disk_dir = dir.str();
+  const auto fresh = std::make_shared<const CompileResult>(
+      phoenix_compile(small_terms(), 4));
+  {
+    CompileCache reader(opt);
+    EXPECT_EQ(reader.get(k), nullptr);
+    EXPECT_EQ(reader.counters().disk_rejects, 1u);
+    EXPECT_EQ(reader.counters().misses, 1u);
+    reader.put(k, fresh);  // what the service does after the recompile
+  }
+  CompileCache next(opt);
+  const auto loaded = next.get(k);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(next.counters().disk_rejects, 0u);
+  EXPECT_EQ(compile_result_to_bytes(*loaded), compile_result_to_bytes(*fresh));
 }
 
 // --- service ----------------------------------------------------------------
@@ -550,6 +742,48 @@ TEST(Service, SingleFlightStressOneCompilePerFingerprint) {
   EXPECT_EQ(s.requests, kThreads * kRounds * kUnique);
   EXPECT_EQ(s.hits + s.inflight_joins + s.misses, s.requests);
   EXPECT_GT(s.inflight_joins, 0u);
+}
+
+// Regression: a submitter used to read the cache and only afterwards take
+// the flight-table lock to join or create a flight. An instant compile can
+// publish (cache put, flight erase) in between, and the late submitter then
+// compiled the same fingerprint a second time. Each round, every thread
+// races one fresh fingerprint, half of them through compile() and half
+// through submit().
+TEST(Service, InstantCompilesRunOncePerFingerprint) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 300;
+
+  std::atomic<std::size_t> compiles{0};
+  CompileService svc(ServiceOptions{}, [&](const CompileRequest& req) {
+    compiles.fetch_add(1);
+    CompileResult r;
+    r.circuit = Circuit(req.num_qubits);
+    return r;
+  });
+
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        CompileRequest req;
+        req.terms = {PauliTerm("XX", 1.0 + static_cast<double>(round))};
+        req.num_qubits = 2;
+        start.arrive_and_wait();
+        const auto r = t % 2 == 0 ? svc.compile(req)
+                                  : svc.submit(std::move(req)).get();
+        if (r == nullptr) failed = true;
+      }
+    });
+  for (auto& t : threads) t.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(compiles.load(), kRounds);  // one compile per fingerprint
+  const auto s = svc.stats();
+  EXPECT_EQ(s.requests, kThreads * kRounds);
+  EXPECT_EQ(s.hits + s.inflight_joins + s.misses, s.requests);
 }
 
 TEST(Service, SubmitSchedulesByPriority) {
