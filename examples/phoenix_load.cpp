@@ -842,6 +842,10 @@ int main(int argc, char** argv) {
       if (do_cancel || do_expired) {
         perturb += 1e-9;
         req.terms.front().coeff += perturb;  // fresh fingerprint: cold miss
+        // A fresh coefficient alone would be bound on the submitting thread
+        // once the structure has a skeleton, answered before the Cancel
+        // arrives. O3 is never bound, so every probe compiles.
+        req.options.peephole = PeepholeLevel::O3;
         if (do_expired) req.deadline_ms = 0.0;
       } else {
         req.deadline_ms = deadline_ms;
@@ -881,6 +885,11 @@ int main(int argc, char** argv) {
     std::map<std::string, std::uint64_t> server_stats;
     for (const auto& [name, v] : client.server_stats()) server_stats[name] = v;
     const std::uint64_t frame_errors = server_stats["net.frame_errors"];
+    std::printf(
+        "server: %llu binds, %llu bind fallbacks, %llu skeletons\n",
+        static_cast<unsigned long long>(server_stats["service.bind_hits"]),
+        static_cast<unsigned long long>(server_stats["service.bind_fallbacks"]),
+        static_cast<unsigned long long>(server_stats["service.skeletons"]));
 
     // ---- BENCH_serve.json ------------------------------------------------
     std::FILE* f = std::fopen(json_path, "w");

@@ -139,6 +139,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(svc.timeouts),
         static_cast<unsigned long long>(svc.cancelled +
                                         svc.cancelled_midflight));
+    std::printf(
+        "phoenix_served: binds %llu, bind fallbacks %llu, skeletons %llu\n",
+        static_cast<unsigned long long>(svc.bind_hits),
+        static_cast<unsigned long long>(svc.bind_fallbacks),
+        static_cast<unsigned long long>(svc.skeletons));
   } catch (const Error& e) {
     std::fprintf(stderr, "phoenix_served: %s\n", e.what());
     return 1;

@@ -8,32 +8,21 @@
 
 namespace phoenix {
 
-Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
-                              std::size_t num_qubits,
-                              const PhoenixOptions& opt,
-                              const Graph* coupling) {
-  Hash128 h(kFingerprintSchemaVersion);
-  h.write_size(num_qubits);
+namespace {
 
-  // Normalize: merge duplicates / drop exact zeros (canonicalize_terms),
-  // then sort by symplectic content so the hash is permutation-invariant.
-  std::vector<PauliTerm> canon = terms;
-  canonicalize_terms(canon);
-  std::sort(canon.begin(), canon.end(),
-            [](const PauliTerm& a, const PauliTerm& b) {
-              return pauli_string_less(a.string, b.string);
-            });
-  h.write_size(canon.size());
-  for (const PauliTerm& t : canon) {
-    t.string.hash_into(h);
-    h.write_double(t.coeff);
-  }
+/// Hash seed of structure_digest, distinct from every fingerprint schema
+/// version, so the two keys never coincide.
+constexpr std::uint64_t kStructureDigestSeed = 0x7374727563740001ull;
 
-  // Options — every field that can change the compiled artifact. Fields
-  // that only affect execution (num_threads, trace, cancel tokens, request
-  // deadlines) are deliberately absent: a deadline changes whether a compile
-  // finishes, never what it produces, and hashing a token would split the
-  // cache for identical programs.
+/// Every PhoenixOptions field that can change the compiled artifact, plus
+/// the coupling graph of a hardware-aware compile: the one options hash of
+/// both request digests, so an option added here reaches the cache key and
+/// the structure key alike. Fields that only affect execution (num_threads,
+/// trace, cancel tokens, request deadlines) are deliberately absent: a
+/// deadline changes whether a compile finishes, never what it produces, and
+/// hashing a token would split the cache for identical programs.
+void hash_options(Hash128& h, const PhoenixOptions& opt,
+                  const Graph* coupling) {
   h.write_u64(static_cast<std::uint64_t>(opt.isa));
   h.write_u64(static_cast<std::uint64_t>(opt.peephole));
   h.write_u64(static_cast<std::uint64_t>(opt.peephole_engine));
@@ -74,6 +63,43 @@ Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
       h.write_size(b);
     }
   }
+}
+
+}  // namespace
+
+Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
+                              std::size_t num_qubits,
+                              const PhoenixOptions& opt,
+                              const Graph* coupling) {
+  Hash128 h(kFingerprintSchemaVersion);
+  h.write_size(num_qubits);
+
+  // Normalize: merge duplicates / drop exact zeros (canonicalize_terms),
+  // then sort by symplectic content so the hash is permutation-invariant.
+  std::vector<PauliTerm> canon = terms;
+  canonicalize_terms(canon);
+  std::sort(canon.begin(), canon.end(),
+            [](const PauliTerm& a, const PauliTerm& b) {
+              return pauli_string_less(a.string, b.string);
+            });
+  h.write_size(canon.size());
+  for (const PauliTerm& t : canon) {
+    t.string.hash_into(h);
+    h.write_double(t.coeff);
+  }
+
+  hash_options(h, opt, coupling);
+  return h.digest();
+}
+
+Digest128 structure_digest(const std::vector<PauliTerm>& terms,
+                           std::size_t num_qubits, const PhoenixOptions& opt,
+                           const Graph* coupling) {
+  Hash128 h(kStructureDigestSeed);
+  h.write_size(num_qubits);
+  h.write_size(terms.size());
+  for (const PauliTerm& t : terms) t.string.hash_into(h);
+  hash_options(h, opt, coupling);
   return h.digest();
 }
 

@@ -13,9 +13,15 @@ namespace phoenix {
 /// Canonical 128-bit content address of a compile request, the key of the
 /// compile cache and the single-flight table.
 ///
-/// Two requests get the same fingerprint iff phoenix_compile is guaranteed
-/// to produce the same CompileResult for both (the pipeline is fully
-/// deterministic). Concretely the hash covers:
+/// Two requests share a fingerprint when they ask for the same Trotter step
+/// under the same output-relevant options: the same operator sum, however
+/// its terms are ordered, split or zero-padded. That does NOT make their
+/// compiles identical: phoenix_compile follows the term order (reversing
+/// NH_frz_BK's terms takes its 2Q count from 1226 to 1260, LiH_frz_JW's from
+/// 398 to 394). The cache answers every request of a fingerprint with the
+/// first arrival's compile, which is a valid compilation of the same Trotter
+/// step: a step's arrangement is free (see phoenix_compile's contract).
+/// Concretely the hash covers:
 ///
 ///  * a fingerprint schema version (bump kFingerprintSchemaVersion whenever
 ///    the hashed fields or the normalization below change, so stale disk
@@ -53,6 +59,17 @@ Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
                               std::size_t num_qubits,
                               const PhoenixOptions& opt,
                               const Graph* coupling);
+
+/// Key of a request's compiled skeleton (src/phoenix/bind.hpp): the register
+/// size, the Pauli strings in request order and the options, hashed by the
+/// same helper as fingerprint_request, but no coefficients. Unlike the
+/// fingerprint it is order-sensitive, because a skeleton's slots follow the
+/// term order of the compile that built it: a bound request must equal
+/// phoenix_compile of that very request. Two requests share a structure
+/// digest iff they differ at most in their coefficients.
+Digest128 structure_digest(const std::vector<PauliTerm>& terms,
+                           std::size_t num_qubits, const PhoenixOptions& opt,
+                           const Graph* coupling);
 
 /// Convenience overload using `opt.coupling` when hardware-aware.
 inline Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,

@@ -381,6 +381,9 @@ struct ServedServer::Impl {
         << "stat service.disk_hits " << svc.disk_hits << '\n'
         << "stat service.misses " << svc.misses << '\n'
         << "stat service.inflight_joins " << svc.inflight_joins << '\n'
+        << "stat service.bind_hits " << svc.bind_hits << '\n'
+        << "stat service.bind_fallbacks " << svc.bind_fallbacks << '\n'
+        << "stat service.skeletons " << svc.skeletons << '\n'
         << "stat service.cancelled " << svc.cancelled << '\n'
         << "stat service.cancelled_midflight " << svc.cancelled_midflight
         << '\n'

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <exception>
 #include <future>
+#include <list>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "common/fault.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "phoenix/bind.hpp"
 #include "service/fingerprint.hpp"
 
 namespace phoenix {
@@ -40,6 +43,15 @@ ServiceClock::time_point request_deadline(double deadline_ms) {
   return ServiceClock::now() +
          std::chrono::duration_cast<ServiceClock::duration>(
              std::chrono::duration<double, std::milli>(deadline_ms));
+}
+
+/// The options the default compile path hands phoenix_compile: the
+/// request's coupling graph and (flight) cancellation token patched in.
+PhoenixOptions compile_options(const CompileRequest& req) {
+  PhoenixOptions o = req.options;
+  if (req.coupling != nullptr) o.coupling = req.coupling.get();
+  if (req.cancel.valid()) o.cancel = req.cancel;
+  return o;
 }
 
 }  // namespace
@@ -87,8 +99,27 @@ struct CompileService::Ticket::State {
 
 struct CompileService::Impl {
   CompileFn compile_fn;
+  /// The bind path needs the default compile function: a compile_fn seam
+  /// compiles something else, so nothing could be bound for it.
+  bool bind_enabled = false;
   CompileCache cache;
   std::size_t max_queue = 0;
+
+  /// What the service knows of one structure (structure_digest): seen once
+  /// (no skeleton yet), bindable (skeleton) or unbindable.
+  struct Structure {
+    Digest128 key;
+    std::shared_ptr<const CompiledSkeleton> skeleton;
+    bool unbindable = false;
+  };
+  /// LRU over structures, most recent first. `structures_mu` is its own
+  /// lock and is never held during a compile or a bind.
+  static constexpr std::size_t kMaxStructures = 64;
+  std::mutex structures_mu;
+  std::list<Structure> structure_lru;
+  std::unordered_map<Digest128, std::list<Structure>::iterator, Digest128Hash>
+      structures;
+  std::size_t resident_skeletons = 0;  ///< guarded by structures_mu
 
   std::mutex flights_mu;
   std::unordered_map<Digest128, std::shared_ptr<Flight>, Digest128Hash>
@@ -102,6 +133,8 @@ struct CompileService::Impl {
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> compiles{0};  ///< ServiceStats::misses
   std::atomic<std::uint64_t> inflight_joins{0};
+  std::atomic<std::uint64_t> bind_hits{0};
+  std::atomic<std::uint64_t> bind_fallbacks{0};
   std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> cancelled_midflight{0};
   std::atomic<std::uint64_t> timeouts{0};
@@ -112,8 +145,9 @@ struct CompileService::Impl {
   /// to completion while the cache and flight table above are still alive.
   ThreadPool pool;
 
-  Impl(ServiceOptions opt, CompileFn fn)
+  Impl(ServiceOptions opt, CompileFn fn, bool bind)
       : compile_fn(std::move(fn)),
+        bind_enabled(bind),
         cache(std::move(opt.cache)),
         max_queue(opt.max_queue),
         pool(default_pool_workers(opt.num_threads)) {}
@@ -197,20 +231,120 @@ struct CompileService::Impl {
     return {flight, true, nullptr};
   }
 
+  /// Record `key` as the most recent structure, evicting the least recent
+  /// beyond kMaxStructures. Caller holds structures_mu.
+  std::list<Structure>::iterator remember(const Digest128& key) {
+    structure_lru.push_front(Structure{key, nullptr, false});
+    structures[key] = structure_lru.begin();
+    while (structure_lru.size() > kMaxStructures) {
+      if (structure_lru.back().skeleton != nullptr) --resident_skeletons;
+      structures.erase(structure_lru.back().key);
+      structure_lru.pop_back();
+    }
+    return structure_lru.begin();
+  }
+
+  /// The bind path's verdict on a request that missed the cache.
+  struct BindPlan {
+    ResultPtr bound;  ///< bound on this thread: serve it like a hit
+    /// The structure's second miss: the flight that compiles this request
+    /// builds the skeleton first (build_and_bind).
+    std::optional<Digest128> build;
+  };
+
+  /// A first miss records the structure and compiles as usual; a second
+  /// miss asks its flight to build the skeleton; later misses bind inline
+  /// unless a coefficient fails a guard. A request whose deadline already
+  /// expired is left to the cold path, which fails it with
+  /// DeadlineExceeded.
+  BindPlan plan_bind(const CompileRequest& req) {
+    if (!bind_enabled || !bindable_options(req.options) ||
+        req.deadline_ms <= 0.0)
+      return {};
+    const Digest128 key = structure_digest(req.terms, req.num_qubits,
+                                           req.options, req.coupling_graph());
+    std::shared_ptr<const CompiledSkeleton> skeleton;
+    {
+      std::lock_guard<std::mutex> lock(structures_mu);
+      const auto it = structures.find(key);
+      if (it == structures.end()) {
+        remember(key);
+        return {};
+      }
+      structure_lru.splice(structure_lru.begin(), structure_lru, it->second);
+      if (it->second->unbindable) return {};
+      if (it->second->skeleton == nullptr) return {nullptr, key};
+      skeleton = it->second->skeleton;
+    }
+    std::optional<CompileResult> bound = bind_skeleton(*skeleton, req.terms);
+    if (!bound) {
+      bind_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      trace_count("service.bind_fallbacks", 1);
+      return {};
+    }
+    bind_hits.fetch_add(1, std::memory_order_relaxed);
+    trace_count("service.bind_hits", 1);
+    return {std::make_shared<const CompileResult>(std::move(*bound)), {}};
+  }
+
+  /// A structure's second miss, on its flight: probe-compile the skeleton,
+  /// publish it (or mark the structure unbindable, never to be probed
+  /// again) and bind this request into it. nullptr when the request still
+  /// needs a compile of its own (unbindable structure or a guard miss).
+  ResultPtr build_and_bind(const Digest128& key, const CompileRequest& req) {
+    std::shared_ptr<const CompiledSkeleton> skeleton;
+    try {
+      if (auto s = build_skeleton(req.terms, req.num_qubits,
+                                  compile_options(req)))
+        skeleton = std::make_shared<const CompiledSkeleton>(std::move(*s));
+    } catch (const Error& e) {
+      // Cancellation ends the flight; any other probe failure leaves the
+      // request's own compile to report its error.
+      if (e.kind() != Error::Kind::Failed) throw;
+    } catch (const std::exception&) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(structures_mu);
+      auto it = structures.find(key);
+      const auto entry = it != structures.end() ? it->second : remember(key);
+      if (entry->skeleton == nullptr && !entry->unbindable) {
+        entry->skeleton = skeleton;
+        entry->unbindable = skeleton == nullptr;
+        if (skeleton != nullptr) ++resident_skeletons;
+      }
+    }
+    if (skeleton == nullptr) return nullptr;
+    std::optional<CompileResult> bound = bind_skeleton(*skeleton, req.terms);
+    if (!bound) {
+      bind_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      trace_count("service.bind_fallbacks", 1);
+      return nullptr;
+    }
+    return std::make_shared<const CompileResult>(std::move(*bound));
+  }
+
   /// Run the compile this flight owns and publish the result: cache first,
   /// then retire the flight from the table, then resolve the future. A
   /// request that missed the cache before the put finds either the flight
   /// or, through the re-check in join_or_create / admit_or_join, the entry.
+  /// With `build` set the flight builds the structure's skeleton and binds
+  /// the request; a bound result is not cached (a VQA loop never repeats
+  /// its amplitudes, and the wire memo answers an exact repeat).
   ResultPtr run_flight(const std::shared_ptr<Flight>& flight,
-                       const CompileRequest& req) {
+                       const CompileRequest& req,
+                       const std::optional<Digest128>& build) {
     compiles.fetch_add(1, std::memory_order_relaxed);
     trace_count("service.compiles", 1);
     ResultPtr result;
+    bool bound = false;
     try {
       fault::maybe_sleep("compile.slow");
       if (fault::triggered("compile.throw"))
         throw Error(Stage::Service, "fault injected: compile.throw");
-      result = std::make_shared<const CompileResult>(compile_fn(req));
+      if (build) result = build_and_bind(*build, req);
+      bound = result != nullptr;
+      if (!bound)
+        result = std::make_shared<const CompileResult>(compile_fn(req));
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(flights_mu);
@@ -219,7 +353,7 @@ struct CompileService::Impl {
       flight->promise.set_exception(std::current_exception());
       throw;
     }
-    cache.put(flight->fp, result);
+    if (!bound) cache.put(flight->fp, result);
     {
       std::lock_guard<std::mutex> lock(flights_mu);
       flights.erase(flight->fp);
@@ -232,7 +366,8 @@ struct CompileService::Impl {
   /// cancelled while queued) under the table lock, swallows compile errors
   /// into the flight's future (tickets rethrow from get()).
   void run_flight_job(const std::shared_ptr<Flight>& flight,
-                      CompileRequest& req) {
+                      CompileRequest& req,
+                      const std::optional<Digest128>& build) {
     bool abandoned = false;
     {
       std::lock_guard<std::mutex> lock(flights_mu);
@@ -253,7 +388,7 @@ struct CompileService::Impl {
     }
     req.cancel = flight->source.token();
     try {
-      run_flight(flight, req);
+      run_flight(flight, req, build);
     } catch (...) {
       // Already stored in the future; every waiter sees it.
     }
@@ -280,15 +415,17 @@ struct CompileService::Impl {
     const Digest128 fp = fingerprint_request(req.terms, req.num_qubits,
                                              req.options, req.coupling_graph());
     const auto deadline = request_deadline(req.deadline_ms);
+    if (ResultPtr hit = cache.get(fp)) return hit;
+    const BindPlan plan = plan_bind(req);
+    if (plan.bound != nullptr) return plan.bound;
     for (;;) {
-      if (ResultPtr hit = cache.get(fp)) return hit;
       const JoinResult j = join_or_create(req, fp);
       if (j.hit != nullptr) return j.hit;
       if (j.created) {
         j.flight->started.store(true, std::memory_order_relaxed);
         CompileRequest effective = req;
         effective.cancel = j.flight->source.token();
-        return run_flight(j.flight, effective);
+        return run_flight(j.flight, effective, plan.build);
       }
       inflight_joins.fetch_add(1, std::memory_order_relaxed);
       trace_count("service.inflight_joins", 1);
@@ -304,6 +441,7 @@ struct CompileService::Impl {
       if (shared != nullptr) return shared;
       // Unreachable in practice: our interest blocks abandonment. Retry
       // defensively rather than hand a sync caller a null result.
+      if (ResultPtr hit = cache.get(fp)) return hit;
     }
   }
 };
@@ -312,14 +450,11 @@ namespace {
 
 CompileService::CompileFn default_compile_fn() {
   return [](const CompileRequest& req) {
-    PhoenixOptions o = req.options;
-    if (req.coupling != nullptr) o.coupling = req.coupling.get();
     // The service populates req.cancel with the flight's token (deadline
     // = loosest joiner, tripped by last-cancel / shedding, chained to
     // the caller's own token); custom CompileFn seams should do the
     // same to stay cancellable.
-    if (req.cancel.valid()) o.cancel = req.cancel;
-    return phoenix_compile(req.terms, req.num_qubits, o);
+    return phoenix_compile(req.terms, req.num_qubits, compile_options(req));
   };
 }
 
@@ -331,7 +466,8 @@ CompileService::CompileService(ServiceOptions opt)
 CompileService::CompileService(ServiceOptions opt, CompileFn compile_fn)
     : impl_(std::make_unique<Impl>(
           std::move(opt),
-          compile_fn ? std::move(compile_fn) : default_compile_fn())) {}
+          compile_fn ? std::move(compile_fn) : default_compile_fn(),
+          /*bind=*/!compile_fn)) {}
 
 CompileService::~CompileService() = default;
 
@@ -444,6 +580,11 @@ CompileService::Ticket CompileService::submit(CompileRequest req,
     ticket.state_->ready = std::move(hit);
     return ticket;
   }
+  const Impl::BindPlan plan = impl_->plan_bind(req);
+  if (plan.bound != nullptr) {
+    ticket.state_->ready = plan.bound;
+    return ticket;
+  }
 
   std::shared_ptr<Flight> shed_victim;
   const Impl::JoinResult j =
@@ -470,8 +611,8 @@ CompileService::Ticket CompileService::submit(CompileRequest req,
   Impl* impl = impl_.get();
   auto shared_req = std::make_shared<CompileRequest>(std::move(req));
   impl_->pool.submit(
-      [impl, flight = j.flight, shared_req] {
-        impl->run_flight_job(flight, *shared_req);
+      [impl, flight = j.flight, shared_req, build = plan.build] {
+        impl->run_flight_job(flight, *shared_req, build);
       },
       priority);
   return ticket;
@@ -508,6 +649,8 @@ ServiceStats CompileService::stats() const {
   s.disk_rejects = c.disk_rejects;
   s.misses = impl_->compiles.load(std::memory_order_relaxed);
   s.inflight_joins = impl_->inflight_joins.load(std::memory_order_relaxed);
+  s.bind_hits = impl_->bind_hits.load(std::memory_order_relaxed);
+  s.bind_fallbacks = impl_->bind_fallbacks.load(std::memory_order_relaxed);
   s.evictions = c.evictions;
   s.cancelled = impl_->cancelled.load(std::memory_order_relaxed);
   s.cancelled_midflight =
@@ -519,6 +662,10 @@ ServiceStats CompileService::stats() const {
   s.queue_depth = impl_->queue_depth.load(std::memory_order_relaxed);
   s.cache_entries = c.entries;
   s.cache_bytes = c.bytes;
+  {
+    std::lock_guard<std::mutex> lock(impl_->structures_mu);
+    s.skeletons = impl_->resident_skeletons;
+  }
   return s;
 }
 

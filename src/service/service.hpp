@@ -82,6 +82,13 @@ struct ServiceStats {
   std::uint64_t disk_rejects = 0;    ///< stale/corrupt disk entries skipped
   std::uint64_t misses = 0;          ///< required an actual compile
   std::uint64_t inflight_joins = 0;  ///< deduped onto a running compile
+  /// Answered by binding fresh coefficients into a resident skeleton of the
+  /// request's structure, on the submitting thread (no compile, no cache
+  /// entry). requests == hits + inflight_joins + misses + bind_hits.
+  std::uint64_t bind_hits = 0;
+  /// Requests a skeleton could not take because a coefficient failed a
+  /// guard (src/phoenix/bind.hpp: bound_angle); they compiled instead.
+  std::uint64_t bind_fallbacks = 0;
   std::uint64_t evictions = 0;       ///< cache entries evicted by byte budget
   std::uint64_t cancelled = 0;       ///< submissions cancelled before start
   std::uint64_t cancelled_midflight = 0;  ///< running compiles token-aborted
@@ -92,6 +99,7 @@ struct ServiceStats {
   std::uint64_t queue_depth = 0;     ///< jobs accepted but not yet started
   std::uint64_t cache_entries = 0;   ///< resident cache entries
   std::uint64_t cache_bytes = 0;     ///< resident cache byte estimate
+  std::uint64_t skeletons = 0;       ///< resident bindable skeletons
 };
 
 /// Thread-safe serving layer in front of phoenix_compile:
@@ -102,7 +110,12 @@ struct ServiceStats {
 ///    run ONE compile and share the immutable result;
 ///  * async submission with per-request priority and best-effort
 ///    cancellation, plus a batch front-end scheduling across the service's
-///    thread pool.
+///    thread pool;
+///  * a bind path for VQA loops, which resend one structure with fresh
+///    coefficients: a structure's second miss builds a skeleton
+///    (src/phoenix/bind.hpp) and later misses bind into it. Bound results
+///    are equal to phoenix_compile of the request and are not cached.
+///    Bindable options only, and only with the default compile function.
 ///
 /// Results are shared immutable snapshots (`shared_ptr<const CompileResult>`)
 /// — a hit hands back the exact object the cold compile produced.

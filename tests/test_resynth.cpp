@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "circuit/synthesis.hpp"
 #include "common/rng.hpp"
@@ -239,25 +242,45 @@ TEST(ResynthExtract, CancellationAborts) {
   }
 }
 
-TEST(ResynthPipeline, LogicalO4NeverWorseThanO3AndValidates) {
-  for (const auto& bench : uccsd_suite_small(10)) {
-    PhoenixOptions o3;
-    o3.peephole = PeepholeLevel::O3;
-    o3.validation.level = ValidationLevel::Cheap;
-    const CompileResult r3 =
-        phoenix_compile(bench.terms, bench.num_qubits, o3);
-
-    PhoenixOptions o4 = o3;
-    o4.resynth = ResynthLevel::Logical;
-    o4.validation.level = ValidationLevel::Paranoid;
-    const CompileResult r4 =
-        phoenix_compile(bench.terms, bench.num_qubits, o4);
-
-    EXPECT_LE(r4.circuit.two_qubit_count(), r3.circuit.two_qubit_count())
-        << bench.name;
-    EXPECT_TRUE(r4.validation.passed()) << bench.name;
-  }
+std::vector<std::string> small_suite_names() {
+  std::vector<std::string> names;
+  for (const auto& bench : uccsd_suite_small(10)) names.push_back(bench.name);
+  return names;
 }
+
+// One instance per uccsd_suite_small(10) entry, so the entries run in
+// parallel under ctest instead of as one long test.
+class ResynthSmallSuite : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ResynthSmallSuite, LogicalO4NeverWorseThanO3AndValidates) {
+  const auto suite = uccsd_suite_small(10);
+  const auto it = std::find_if(
+      suite.begin(), suite.end(),
+      [&](const UccsdBenchmark& b) { return b.name == GetParam(); });
+  ASSERT_NE(it, suite.end());
+  const UccsdBenchmark& bench = *it;
+
+  PhoenixOptions o3;
+  o3.peephole = PeepholeLevel::O3;
+  o3.validation.level = ValidationLevel::Cheap;
+  const CompileResult r3 = phoenix_compile(bench.terms, bench.num_qubits, o3);
+
+  PhoenixOptions o4 = o3;
+  o4.resynth = ResynthLevel::Logical;
+  o4.validation.level = ValidationLevel::Paranoid;
+  const CompileResult r4 = phoenix_compile(bench.terms, bench.num_qubits, o4);
+
+  EXPECT_LE(r4.circuit.two_qubit_count(), r3.circuit.two_qubit_count())
+      << bench.name;
+  EXPECT_TRUE(r4.validation.passed()) << bench.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResynthPipeline, ResynthSmallSuite,
+    ::testing::ValuesIn(small_suite_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(ResynthPipeline, RoutedO4StaysOnCouplingAndValidates) {
   const auto suite = uccsd_suite_small(10);

@@ -12,11 +12,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -43,6 +45,21 @@ CompileRequest tiny_request(double c0 = 0.5) {
   CompileRequest req;
   req.terms = small_terms(c0);
   req.num_qubits = 4;
+  return req;
+}
+
+/// Program j (< 24) of a family of cold compiles: its coefficient gives it a
+/// fresh fingerprint and its term order, the j-th permutation, a fresh
+/// structure. A fresh coefficient alone would not do: the service binds a
+/// structure's later misses into the skeleton its second miss builds.
+CompileRequest cold_request(int j) {
+  CompileRequest req = tiny_request(0.5 + j);
+  const auto by_label = [](const PauliTerm& a, const PauliTerm& b) {
+    return a.string.to_string() < b.string.to_string();
+  };
+  std::sort(req.terms.begin(), req.terms.end(), by_label);
+  for (int k = 0; k < j; ++k)
+    std::next_permutation(req.terms.begin(), req.terms.end(), by_label);
   return req;
 }
 
@@ -419,7 +436,7 @@ TEST(Server, MultiplexedSubmissionsAwaitInAnyOrder) {
 
   std::vector<PooledClient::Handle> handles;
   for (int i = 0; i < 4; ++i)
-    handles.push_back(client.submit_async(tiny_request(0.25 + i)));
+    handles.push_back(client.submit_async(cold_request(i)));
   // Await newest-first: earlier results wait in their handles.
   for (int i = 3; i >= 0; --i) {
     const CompileResult r = compile_result_from_bytes(handles[i].get());
@@ -553,6 +570,31 @@ TEST(Server, StatsFrameReportsNetAndServiceCounters) {
   }
   EXPECT_TRUE(saw_accepted);
   EXPECT_TRUE(saw_misses);
+  server.stop();
+}
+
+// From a structure's third miss on, the service binds fresh coefficients on
+// the reader thread; the reply must be the very bytes a compile would send.
+TEST(Server, BoundReplyBytesEqualAFreshCompile) {
+  ServedServer server(tcp_options());
+  server.start();
+  PooledClient client = serial_client(tcp_endpoint(server));
+  client.submit_async(tiny_request(0.5)).get();
+  client.submit_async(tiny_request(1.25)).get();  // builds the skeleton
+
+  const CompileRequest req = tiny_request(-2.75);
+  PooledClient::Handle h = client.submit_async(req);
+  EXPECT_TRUE(h.ack().hit);  // answered inline, like a cache hit
+  EXPECT_EQ(h.get(), compile_result_to_bytes(
+                         phoenix_compile(req.terms, req.num_qubits)));
+
+  std::map<std::string, std::uint64_t> stats;
+  for (const auto& [name, value] : client.server_stats()) stats[name] = value;
+  EXPECT_EQ(stats["service.bind_hits"], 1u);
+  EXPECT_EQ(stats["service.skeletons"], 1u);
+  EXPECT_EQ(stats["service.bind_fallbacks"], 0u);
+  EXPECT_EQ(stats["service.misses"], 2u);
+  EXPECT_EQ(stats["service.hits"], 0u);
   server.stop();
 }
 
@@ -692,7 +734,7 @@ int child_compile_all(const std::string& dir, int programs,
   opt.cache.disk_dir = dir;
   CompileService svc(opt);
   for (int j = 0; j < programs; ++j) {
-    CompileRequest req = tiny_request(0.5 + j);
+    CompileRequest req = cold_request(j);
     req.options.num_threads = 1;  // fully serial compile inside the child
     try {
       if (svc.compile(req) == nullptr) return 10;
@@ -722,7 +764,7 @@ TEST(MultiProcessCache, WarmDirectoryServesEveryProcessWithoutRecompiles) {
     opt.cache.disk_dir = dir.str();
     CompileService warmer(opt);
     for (int j = 0; j < kPrograms; ++j) {
-      CompileRequest req = tiny_request(0.5 + j);
+      CompileRequest req = cold_request(j);
       req.options.num_threads = 1;
       ASSERT_NE(warmer.compile(req), nullptr);
     }
@@ -788,7 +830,7 @@ TEST(MultiProcessCache, ConcurrentWritersAndSweepingReadersDontCorrupt) {
   opt.cache.disk_dir = dir.str();
   CompileService svc(opt);
   for (int j = 0; j < kPrograms; ++j) {
-    CompileRequest req = tiny_request(0.5 + j);
+    CompileRequest req = cold_request(j);
     req.options.num_threads = 1;
     EXPECT_NE(svc.compile(req), nullptr);
   }

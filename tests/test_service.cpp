@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <bit>
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -227,6 +229,139 @@ TEST(Fingerprint, CouplingEdgeSetMatters) {
   EXPECT_NE(base, fingerprint_request(terms, 4, opt, &ring));
 
   EXPECT_THROW(fingerprint_request(terms, 4, opt, nullptr), Error);
+}
+
+// Both digests hash the options through one helper, so every hashed option,
+// the coupling graph included, must move both keys.
+TEST(Fingerprint, EveryHashedOptionChangesBothDigests) {
+  const auto terms = small_terms();
+  Graph line(4);
+  line.add_edge(0, 1);
+  line.add_edge(1, 2);
+  line.add_edge(2, 3);
+  Graph ring = line;
+  ring.add_edge(3, 0);
+  PhoenixOptions aware;
+  aware.hardware_aware = true;
+
+  struct Variant {
+    const char* name;
+    PhoenixOptions base;
+    const Graph* base_coupling;
+    PhoenixOptions changed;
+    const Graph* coupling;
+  };
+  std::vector<Variant> variants;
+  auto option = [&](const char* name, auto mutate) {
+    PhoenixOptions changed;
+    mutate(changed);
+    variants.push_back({name, PhoenixOptions{}, nullptr, changed, nullptr});
+  };
+  option("isa", [](PhoenixOptions& o) { o.isa = TwoQubitIsa::Su4; });
+  option("peephole", [](PhoenixOptions& o) { o.peephole = PeepholeLevel::O3; });
+  option("peephole_engine",
+         [](PhoenixOptions& o) { o.peephole_engine = PeepholeEngine::Legacy; });
+  option("resynth",
+         [](PhoenixOptions& o) { o.resynth = ResynthLevel::Logical; });
+  option("lookahead", [](PhoenixOptions& o) { o.lookahead = 7; });
+  option("sabre.extended_set_size",
+         [](PhoenixOptions& o) { o.sabre.extended_set_size += 1; });
+  option("sabre.extended_set_weight",
+         [](PhoenixOptions& o) { o.sabre.extended_set_weight += 0.25; });
+  option("sabre.decay_delta",
+         [](PhoenixOptions& o) { o.sabre.decay_delta += 0.25; });
+  option("sabre.decay_reset",
+         [](PhoenixOptions& o) { o.sabre.decay_reset += 1; });
+  option("sabre.layout_rounds",
+         [](PhoenixOptions& o) { o.sabre.layout_rounds += 1; });
+  option("sabre.seed", [](PhoenixOptions& o) { o.sabre.seed += 1; });
+  option("simplify.max_epochs",
+         [](PhoenixOptions& o) { o.simplify.max_epochs += 1; });
+  option("simplify.num_starts",
+         [](PhoenixOptions& o) { o.simplify.num_starts = 4; });
+  option("simplify.beam_width",
+         [](PhoenixOptions& o) { o.simplify.beam_width = 3; });
+  option("validation.level", [](PhoenixOptions& o) {
+    o.validation.level = ValidationLevel::Cheap;
+  });
+  option("validation.exact_max_qubits",
+         [](PhoenixOptions& o) { o.validation.exact_max_qubits += 1; });
+  option("validation.angle_tol",
+         [](PhoenixOptions& o) { o.validation.angle_tol *= 2.0; });
+  option("validation.max_infidelity",
+         [](PhoenixOptions& o) { o.validation.max_infidelity *= 2.0; });
+  variants.push_back(
+      {"hardware_aware", PhoenixOptions{}, nullptr, aware, &line});
+  variants.push_back({"coupling edge set", aware, &line, aware, &ring});
+
+  for (const Variant& v : variants) {
+    EXPECT_NE(fingerprint_request(terms, 4, v.base, v.base_coupling),
+              fingerprint_request(terms, 4, v.changed, v.coupling))
+        << v.name;
+    EXPECT_NE(structure_digest(terms, 4, v.base, v.base_coupling),
+              structure_digest(terms, 4, v.changed, v.coupling))
+        << v.name;
+  }
+}
+
+TEST(Fingerprint, CoefficientChangesOnlyTheFingerprint) {
+  const auto terms = small_terms();
+  const PhoenixOptions opt;
+  auto scaled = terms;
+  scaled[1].coeff += 1e-9;
+  EXPECT_NE(fingerprint_request(terms, 4, opt),
+            fingerprint_request(scaled, 4, opt));
+  EXPECT_EQ(structure_digest(terms, 4, opt, nullptr),
+            structure_digest(scaled, 4, opt, nullptr));
+  EXPECT_NE(structure_digest(terms, 4, opt, nullptr),
+            structure_digest(terms, 5, opt, nullptr));
+}
+
+// The fingerprint contract: term order addresses one cache entry although
+// phoenix_compile follows it, so only the structure digest (the key a bound
+// result must match) may see it.
+TEST(Fingerprint, ReversedOrderSharesTheFingerprintNotTheStructure) {
+  const UccsdBenchmark nh =
+      generate_uccsd(Molecule::nh(), true, FermionEncoding::BravyiKitaev);
+  auto reversed = nh.terms;
+  std::reverse(reversed.begin(), reversed.end());
+  const PhoenixOptions opt;
+  EXPECT_EQ(fingerprint_request(nh.terms, nh.num_qubits, opt),
+            fingerprint_request(reversed, nh.num_qubits, opt));
+  EXPECT_NE(structure_digest(nh.terms, nh.num_qubits, opt, nullptr),
+            structure_digest(reversed, nh.num_qubits, opt, nullptr));
+  EXPECT_NE(phoenix_compile(nh.terms, nh.num_qubits).circuit.two_qubit_count(),
+            phoenix_compile(reversed, nh.num_qubits).circuit.two_qubit_count());
+}
+
+// Schema v4 keys as first released: refactoring the hash must not move them,
+// or every persisted disk cache would silently go cold.
+TEST(Fingerprint, SuiteFingerprintsArePinned) {
+  const std::map<std::string, std::string> pinned = {
+      {"CH2_cmplt_BK", "5e036db3b2facb73d5fcdb6d5897d370"},
+      {"CH2_cmplt_JW", "0a6fa3b1354f36c113b0d80ba523f749"},
+      {"CH2_frz_BK", "72fca6534d314156ce5938dedc34021c"},
+      {"CH2_frz_JW", "bcbc53b5eaa34d018cda9d5059736b30"},
+      {"H2O_cmplt_BK", "111582dc7342540ab0c287559847857e"},
+      {"H2O_cmplt_JW", "6e837144e12782b2d3155886e73e3d68"},
+      {"H2O_frz_BK", "4a830053eab4b4686670982e8dd09047"},
+      {"H2O_frz_JW", "49cf979bfbb11a8a68f2c84e5c89656f"},
+      {"LiH_cmplt_BK", "7fa4ef69b90ea35808ca9ed25d58111e"},
+      {"LiH_cmplt_JW", "18a2ecc9e1e3b8334d076742b7d077f7"},
+      {"LiH_frz_BK", "7c9b02fc078dfcfc447af91336ce5664"},
+      {"LiH_frz_JW", "b775b4a76cbacb030ae1f72a045b8623"},
+      {"NH_cmplt_BK", "4a830053eab4b4686670982e8dd09047"},
+      {"NH_cmplt_JW", "49cf979bfbb11a8a68f2c84e5c89656f"},
+      {"NH_frz_BK", "aa9f50dd18eeb9cef2f99e5432e0857c"},
+      {"NH_frz_JW", "1001df4cc32bc27d9fd76e3711e9257b"},
+  };
+  EXPECT_EQ(kFingerprintSchemaVersion, 4u);
+  const auto suite = uccsd_suite();
+  ASSERT_EQ(suite.size(), pinned.size());
+  for (const auto& b : suite)
+    EXPECT_EQ(fingerprint_request(b.terms, b.num_qubits, {}).hex(),
+              pinned.at(b.name))
+        << b.name;
 }
 
 // --- serialization ----------------------------------------------------------
