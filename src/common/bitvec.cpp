@@ -18,6 +18,21 @@ BitVec BitVec::from_string(const std::string& bits) {
   return v;
 }
 
+BitVec BitVec::from_bytes(const unsigned char* bytes, std::size_t n) {
+  BitVec v(n);
+  const std::size_t nbytes = n / 8 + (n % 8 != 0);
+  for (std::size_t i = 0; i < nbytes; ++i)
+    v.words_[i / 8] |= std::uint64_t{bytes[i]} << (8 * (i % 8));
+  v.mask_tail();
+  return v;
+}
+
+void BitVec::append_bytes(std::string& out) const {
+  const std::size_t nbytes = size_ / 8 + (size_ % 8 != 0);
+  for (std::size_t i = 0; i < nbytes; ++i)
+    out += static_cast<char>((words_[i / 8] >> (8 * (i % 8))) & 0xff);
+}
+
 std::size_t BitVec::popcount() const {
   return simd::popcount_words(words_.data(), words_.size());
 }

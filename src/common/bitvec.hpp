@@ -23,6 +23,13 @@ class BitVec {
   /// Construct from a string of '0'/'1' characters, index 0 first.
   static BitVec from_string(const std::string& bits);
 
+  /// Construct an `n`-bit vector from ceil(n/8) packed bytes: bit i is bit
+  /// i%8 of byte i/8, so the bytes are the backing words in little-endian
+  /// order. Bits of the last byte past `n` are dropped.
+  static BitVec from_bytes(const unsigned char* bytes, std::size_t n);
+  /// Append the ceil(size()/8) packed bytes that from_bytes reads.
+  void append_bytes(std::string& out) const;
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -41,13 +40,7 @@ struct Writer {
   std::string out;
 
   void byte(unsigned v) { out.push_back(static_cast<char>(v)); }
-  void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      byte(static_cast<unsigned>(v & 0x7f) | 0x80);
-      v >>= 7;
-    }
-    byte(static_cast<unsigned>(v));
-  }
+  void varint(std::uint64_t v) { put_varint(out, v); }
   void f64(double d) { put_u64(out, bits(d)); }
   void str(const std::string& s) {
     varint(s.size());
@@ -100,62 +93,7 @@ bool same_bits(const Circuit& a, const Circuit& b) {
 
 // --- reader -----------------------------------------------------------------
 
-struct Reader {
-  const unsigned char* p;
-  const unsigned char* end;
-
-  std::size_t left() const { return static_cast<std::size_t>(end - p); }
-
-  unsigned byte(const char* what) {
-    if (p == end) fail(std::string("truncated input, wanted ") + what);
-    return *p++;
-  }
-  /// At most 10 bytes, and the tenth may only carry bit 63.
-  std::uint64_t varint(const char* what) {
-    std::uint64_t v = 0;
-    for (unsigned shift = 0;; shift += 7) {
-      const unsigned b = byte(what);
-      if (shift == 63 && b > 1)
-        fail(std::string("varint longer than 64 bits for ") + what);
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-    }
-  }
-  std::size_t size(const char* what) {
-    const std::uint64_t v = varint(what);
-    if (v > std::numeric_limits<std::size_t>::max())
-      fail(std::string("value out of range for ") + what);
-    return static_cast<std::size_t>(v);
-  }
-  /// An element count, rejected when even `min_bytes` per element would run
-  /// past the input — the check that precedes every reserve.
-  std::size_t count(const char* what, std::size_t min_bytes) {
-    const std::uint64_t n = varint(what);
-    if (n > left() / min_bytes)
-      fail(std::string(what) + " of " + std::to_string(n) +
-           " exceeds the input left");
-    return static_cast<std::size_t>(n);
-  }
-  double f64(const char* what) {
-    if (left() < 8) fail(std::string("truncated input, wanted ") + what);
-    const std::uint64_t v = get_u64(p);
-    p += 8;
-    return std::bit_cast<double>(v);
-  }
-  bool boolean(const char* what) {
-    const unsigned b = byte(what);
-    if (b > 1) fail(std::string("malformed bool for ") + what);
-    return b == 1;
-  }
-  std::string str(const char* what) {
-    const std::size_t n = count(what, 1);
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return s;
-  }
-};
-
-Gate read_gate(Reader& r, std::size_t num_qubits, std::size_t depth) {
+Gate read_gate(ByteReader& r, std::size_t num_qubits, std::size_t depth) {
   if (depth > kMaxGateNesting) fail("gate nesting too deep");
   const unsigned tag = r.byte("gate kind");
   const unsigned kind = tag & kKindMask;
@@ -178,7 +116,7 @@ Gate read_gate(Reader& r, std::size_t num_qubits, std::size_t depth) {
   return g;
 }
 
-Circuit read_circuit(Reader& r) {
+Circuit read_circuit(ByteReader& r) {
   const std::size_t nq = r.size("register size");
   const std::size_t ngates = r.count("gate count", kMinGateBytes);
   Circuit c(nq);
@@ -186,7 +124,7 @@ Circuit read_circuit(Reader& r) {
   return c;
 }
 
-std::vector<std::size_t> read_layout(Reader& r) {
+std::vector<std::size_t> read_layout(ByteReader& r) {
   const std::size_t n = r.count("layout size", 1);
   std::vector<std::size_t> layout;
   layout.reserve(n);
@@ -240,12 +178,11 @@ std::string compile_result_to_bytes(const CompileResult& r) {
 }
 
 CompileResult compile_result_from_bytes(const std::string& bytes) {
-  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-  Reader r{data, data + bytes.size()};
+  ByteReader r(bytes, "compile_result_from_bytes");
   if (bytes.size() < sizeof kMagic ||
       std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
     fail("not a compile result (bad magic)");
-  r.p += sizeof kMagic;
+  r.take(sizeof kMagic, "magic");
   const std::uint64_t version = r.varint("schema version");
   if (version != static_cast<std::uint64_t>(kCompileResultSchemaVersion))
     fail("stale or unknown schema version " + std::to_string(version) +

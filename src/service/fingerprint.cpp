@@ -1,10 +1,10 @@
 #include "service/fingerprint.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
-#include "hamlib/io.hpp"
 
 namespace phoenix {
 
@@ -14,13 +14,8 @@ namespace {
 /// version, so the two keys never coincide.
 constexpr std::uint64_t kStructureDigestSeed = 0x7374727563740001ull;
 
-/// Every PhoenixOptions field that can change the compiled artifact, plus
-/// the coupling graph of a hardware-aware compile: the one options hash of
-/// both request digests, so an option added here reaches the cache key and
-/// the structure key alike. Fields that only affect execution (num_threads,
-/// trace, cancel tokens, request deadlines) are deliberately absent: a
-/// deadline changes whether a compile finishes, never what it produces, and
-/// hashing a token would split the cache for identical programs.
+}  // namespace
+
 void hash_options(Hash128& h, const PhoenixOptions& opt,
                   const Graph* coupling) {
   h.write_u64(static_cast<std::uint64_t>(opt.isa));
@@ -65,8 +60,6 @@ void hash_options(Hash128& h, const PhoenixOptions& opt,
   }
 }
 
-}  // namespace
-
 Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
                               std::size_t num_qubits,
                               const PhoenixOptions& opt,
@@ -74,18 +67,34 @@ Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
   Hash128 h(kFingerprintSchemaVersion);
   h.write_size(num_qubits);
 
-  // Normalize: merge duplicates / drop exact zeros (canonicalize_terms),
-  // then sort by symplectic content so the hash is permutation-invariant.
-  std::vector<PauliTerm> canon = terms;
-  canonicalize_terms(canon);
-  std::sort(canon.begin(), canon.end(),
-            [](const PauliTerm& a, const PauliTerm& b) {
-              return pauli_string_less(a.string, b.string);
-            });
-  h.write_size(canon.size());
-  for (const PauliTerm& t : canon) {
-    t.string.hash_into(h);
-    h.write_double(t.coeff);
+  // Normalize without copying a term: stable-sort term indices by symplectic
+  // content, so the copies of a string sit together in request order. Each
+  // run sums its coefficients in that order, the order canonicalize_terms
+  // adds them in, so the merged coefficients are bit-identical to it; sums
+  // equal to 0.0 (-0.0 included) drop out. The sort makes the hash
+  // permutation-invariant.
+  std::vector<std::size_t> order(terms.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return pauli_string_less(terms[a].string,
+                                              terms[b].string);
+                   });
+  std::vector<std::pair<std::size_t, double>> merged;  // (index, sum)
+  merged.reserve(order.size());
+  for (std::size_t i = 0; i < order.size();) {
+    const PauliString& s = terms[order[i]].string;
+    double sum = terms[order[i]].coeff;
+    std::size_t j = i + 1;
+    for (; j < order.size() && terms[order[j]].string == s; ++j)
+      sum += terms[order[j]].coeff;
+    if (sum != 0.0) merged.emplace_back(order[i], sum);
+    i = j;
+  }
+  h.write_size(merged.size());
+  for (const auto& [i, coeff] : merged) {
+    terms[i].string.hash_into(h);
+    h.write_double(coeff);
   }
 
   hash_options(h, opt, coupling);

@@ -30,7 +30,9 @@ namespace phoenix {
 ///    strings merged, exactly-zero coefficients dropped, then sorted by
 ///    symplectic content (pauli_string_less) — so permutations, duplicate
 ///    splits, and zero padding of the same Hamiltonian all address one cache
-///    entry;
+///    entry. The merge sums a string's coefficients in request order, as
+///    canonicalize_terms (hamlib/io.hpp) does, and is computed over a stable
+///    sort of term indices, without copying the terms;
 ///  * every semantically relevant PhoenixOptions field: ISA, peephole level,
 ///    hardware-awareness, Tetris lookahead, all SabreOptions fields
 ///    (including the seed), SimplifyOptions, and all ValidationOptions
@@ -59,6 +61,18 @@ Digest128 fingerprint_request(const std::vector<PauliTerm>& terms,
                               std::size_t num_qubits,
                               const PhoenixOptions& opt,
                               const Graph* coupling);
+
+/// Absorb every PhoenixOptions field that can change the compiled artifact,
+/// plus the coupling graph of a hardware-aware compile (vertex count and
+/// sorted edge set), into `h`: the one options hash of both request digests,
+/// so an option added here reaches the cache key and the structure key
+/// alike. Fields that only affect execution (num_threads, trace, cancel
+/// tokens, request deadlines) are deliberately absent: a deadline changes
+/// whether a compile finishes, never what it produces, and hashing a token
+/// would split the cache for identical programs. Throws Error
+/// (Stage::Service) for a hardware-aware request without a coupling graph.
+void hash_options(Hash128& h, const PhoenixOptions& opt,
+                  const Graph* coupling);
 
 /// Key of a request's compiled skeleton (src/phoenix/bind.hpp): the register
 /// size, the Pauli strings in request order and the options, hashed by the

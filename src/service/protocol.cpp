@@ -1,10 +1,12 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cstdio>
-#include <cstring>
+#include <limits>
+#include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -18,9 +20,9 @@ namespace {
   throw Error(Stage::Parse, "phoenix-protocol: " + detail);
 }
 
-// --- text tokens of the request and error payloads ---------------------------
+// --- text tokens of the ErrorReply payload ----------------------------------
 
-/// Strings (Pauli labels, error details) as single whitespace-free tokens:
+/// Strings (error details) as single whitespace-free tokens:
 /// '%'-escape '%', whitespace and control bytes; the empty string is the
 /// token "%e".
 std::string escape(const std::string& s) {
@@ -64,15 +66,6 @@ std::string unescape(const std::string& s) {
   return out;
 }
 
-/// Doubles as the 16 hex digits of their IEEE-754 bit pattern, so a round
-/// trip is bit-identical.
-std::string double_bits(double d) {
-  char buf[17];
-  const std::uint64_t v = std::bit_cast<std::uint64_t>(d);
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 struct Reader {
   std::istringstream in;
   explicit Reader(const std::string& bytes) : in(bytes) {}
@@ -99,42 +92,20 @@ struct Reader {
     }
     return v;
   }
-  double dbl(const char* what) {
-    const std::string t = token(what);
-    if (t.size() != 16) fail("malformed u64 hex for " + std::string(what));
-    std::uint64_t v = 0;
-    for (const char c : t) {
-      const int n = hex_nibble(c);
-      if (n < 0) fail("malformed u64 hex for " + std::string(what));
-      v = (v << 4) | static_cast<std::uint64_t>(n);
-    }
-    return std::bit_cast<double>(v);
-  }
-  bool boolean(const char* what) {
-    const std::uint64_t v = u64(what);
-    if (v > 1) fail("malformed bool for " + std::string(what));
-    return v == 1;
-  }
-  void expect_exhausted() {
-    std::string trailing;
-    if (in >> trailing)
-      fail("trailing bytes after document (starting with '" + trailing +
-           "')");
-  }
 };
 
+/// Opening of the whitespace text documents of request schemas v1 and v2,
+/// recognized only to name a stale peer's version in the rejection.
+constexpr std::string_view kTextRequestTag = "phoenix-compile-request ";
+
 template <typename Enum>
-Enum checked_enum(std::uint64_t v, Enum max, const char* what) {
-  if (v > static_cast<std::uint64_t>(max))
-    fail(std::string("out-of-range ") + what + " ordinal " +
-         std::to_string(v));
+Enum checked_enum(ByteReader& r, Enum max, const char* what) {
+  const unsigned v = r.byte(what);
+  if (v > static_cast<unsigned>(max))
+    r.fail(std::string("out-of-range ") + what + " ordinal " +
+           std::to_string(v));
   return static_cast<Enum>(v);
 }
-
-// v2 added the O4 `resynth` ordinal to the options line. Schema tags are
-// exact-match: a v1 peer's request is rejected with a clear "stale schema"
-// error instead of silently compiling at the wrong tier.
-inline constexpr int kCompileRequestSchemaVersion = 2;
 
 }  // namespace
 
@@ -200,111 +171,148 @@ DecodeResult decode_frame(const char* data, std::size_t size,
 }
 
 std::string compile_request_to_bytes(const CompileRequest& req, int priority) {
-  std::ostringstream out;
-  out << "phoenix-compile-request v" << kCompileRequestSchemaVersion << '\n';
-  out << "qubits " << req.num_qubits << " terms " << req.terms.size() << '\n';
-  for (const PauliTerm& t : req.terms)
-    out << "t " << escape(t.string.to_string()) << ' '
-        << double_bits(t.coeff) << '\n';
+  const std::size_t n = req.num_qubits;
   const PhoenixOptions& o = req.options;
-  out << "options " << static_cast<unsigned>(o.isa) << ' '
-      << static_cast<unsigned>(o.peephole) << ' '
-      << static_cast<unsigned>(o.peephole_engine) << ' '
-      << static_cast<unsigned>(o.resynth) << ' '
-      << static_cast<unsigned>(o.validation.level) << ' ' << o.lookahead
-      << ' ' << o.simplify.num_starts << ' ' << o.simplify.beam_width << '\n';
-  const Graph* g = req.coupling_graph();
-  if (o.hardware_aware && g != nullptr) {
-    out << "coupling " << g->num_vertices() << ' ' << g->num_edges() << '\n';
-    for (const auto& [a, b] : g->edges()) out << "e " << a << ' ' << b << '\n';
-  } else {
-    out << "coupling 0 0\n";
+  const Graph* g = o.hardware_aware ? req.coupling_graph() : nullptr;
+  std::string out;
+  out.reserve(64 + req.terms.size() * (2 * (n / 8 + 1) + 8) +
+              (g != nullptr ? 4 * g->num_edges() : 0));
+  put_u32(out, kCompileRequestMagic);
+  put_varint(out, kCompileRequestSchemaVersion);
+  put_varint(out, n);
+  put_varint(out, req.terms.size());
+  for (const PauliTerm& t : req.terms) {
+    if (t.string.num_qubits() != n)
+      fail("term on " + std::to_string(t.string.num_qubits()) +
+           " qubits in a request on " + std::to_string(n));
+    t.string.x().append_bytes(out);
+    t.string.z().append_bytes(out);
+    put_u64(out, std::bit_cast<std::uint64_t>(t.coeff));
   }
-  out << "deadline " << double_bits(req.deadline_ms) << " priority "
-      << double_bits(static_cast<double>(priority)) << '\n';
-  out << "end\n";
-  return out.str();
+  for (const unsigned ordinal :
+       {static_cast<unsigned>(o.isa), static_cast<unsigned>(o.peephole),
+        static_cast<unsigned>(o.peephole_engine),
+        static_cast<unsigned>(o.resynth),
+        static_cast<unsigned>(o.validation.level)})
+    out += static_cast<char>(ordinal);
+  put_varint(out, o.lookahead);
+  put_varint(out, o.simplify.num_starts);
+  put_varint(out, o.simplify.beam_width);
+  put_varint(out, g != nullptr ? g->num_vertices() : 0);
+  put_varint(out, g != nullptr ? g->num_edges() : 0);
+  if (g != nullptr) {
+    for (const auto& [a, b] : g->edges()) {
+      put_varint(out, a);
+      put_varint(out, b);
+    }
+  }
+  put_u64(out, std::bit_cast<std::uint64_t>(req.deadline_ms));
+  // Zigzag: small magnitudes of either sign take one byte.
+  const auto p = static_cast<std::int64_t>(priority);
+  put_varint(out, (static_cast<std::uint64_t>(p) << 1) ^
+                      static_cast<std::uint64_t>(p >> 63));
+  return out;
 }
 
 CompileRequest compile_request_from_bytes(const std::string& bytes,
                                           int& priority) {
-  Reader r(bytes);
-  r.expect("phoenix-compile-request");
-  const std::string version = r.token("schema version");
-  const std::string want = "v" + std::to_string(kCompileRequestSchemaVersion);
-  if (version != want)
-    fail("stale or unknown request schema tag '" + version +
-         "' (this build reads " + want + ")");
+  ByteReader r(bytes, "phoenix-protocol");
+  if (bytes.starts_with(kTextRequestTag))
+    r.fail("text request document '" +
+           bytes.substr(0, std::min<std::size_t>(bytes.find('\n'), 32)) +
+           "' (this build reads binary request schema v" +
+           std::to_string(kCompileRequestSchemaVersion) + ")");
+  if (get_u32(r.take(4, "magic")) != kCompileRequestMagic)
+    r.fail("not a compile request (bad magic)");
+  const std::uint64_t version = r.varint("schema version");
+  if (version != kCompileRequestSchemaVersion)
+    r.fail("stale or unknown request schema version " +
+           std::to_string(version) + " (this build reads " +
+           std::to_string(kCompileRequestSchemaVersion) + ")");
 
   CompileRequest req;
-  r.expect("qubits");
-  req.num_qubits = static_cast<std::size_t>(r.u64("register size"));
-  r.expect("terms");
-  const std::uint64_t nterms = r.u64("term count");
+  req.num_qubits = r.size("register size");
+  const std::uint64_t nterms = r.varint("term count");
+  const std::size_t n = req.num_qubits;
+  const std::size_t row_bytes = n / 8 + (n % 8 != 0);  // cannot wrap
+  if (nterms != 0) {
+    // Each term takes both rows and a coefficient; bounding the rows first
+    // keeps 2 * row_bytes + 8 from wrapping.
+    if (row_bytes > r.left() / 2)
+      r.fail("register size " + std::to_string(n) +
+             " exceeds the input left");
+    if (nterms > r.left() / (2 * row_bytes + 8))
+      r.fail("term count of " + std::to_string(nterms) +
+             " exceeds the input left");
+  }
+  // BitVec keeps the bits past n clear, and hashing and == rely on it, so a
+  // row byte with such bits set is malformed rather than silently masked.
+  const unsigned tail_bits = n % 8 == 0 ? 0u : (0xffu << (n % 8)) & 0xffu;
   req.terms.reserve(static_cast<std::size_t>(nterms));
   for (std::uint64_t i = 0; i < nterms; ++i) {
-    r.expect("t");
-    const std::string label = unescape(r.token("term label"));
-    const double coeff = r.dbl("term coeff");
-    try {
-      req.terms.emplace_back(label, coeff);
-    } catch (const std::exception& e) {
-      fail(std::string("bad Pauli label in request: ") + e.what());
-    }
-    if (req.terms.back().string.num_qubits() != req.num_qubits)
-      fail("term register size mismatch");
+    const unsigned char* x = r.take(row_bytes, "term X row");
+    const unsigned char* z = r.take(row_bytes, "term Z row");
+    if (tail_bits != 0 &&
+        ((x[row_bytes - 1] | z[row_bytes - 1]) & tail_bits) != 0)
+      r.fail("term " + std::to_string(i) +
+             " sets bits beyond the register");
+    const double coeff = r.f64("term coeff");
+    req.terms.emplace_back(
+        PauliString(BitVec::from_bytes(x, n), BitVec::from_bytes(z, n)),
+        coeff);
   }
 
-  r.expect("options");
   PhoenixOptions& o = req.options;
-  o.isa = checked_enum(r.u64("isa"), TwoQubitIsa::Su4, "isa");
-  o.peephole =
-      checked_enum(r.u64("peephole"), PeepholeLevel::O3, "peephole level");
-  o.peephole_engine = checked_enum(r.u64("peephole engine"),
-                                   PeepholeEngine::Legacy, "peephole engine");
-  o.resynth =
-      checked_enum(r.u64("resynth"), ResynthLevel::Routed, "resynth level");
-  o.validation.level = checked_enum(r.u64("validation"),
-                                    ValidationLevel::Paranoid, "validation");
-  o.lookahead = static_cast<std::size_t>(r.u64("lookahead"));
-  o.simplify.num_starts = static_cast<std::size_t>(r.u64("num_starts"));
-  o.simplify.beam_width = static_cast<std::size_t>(r.u64("beam_width"));
+  o.isa = checked_enum(r, TwoQubitIsa::Su4, "isa");
+  o.peephole = checked_enum(r, PeepholeLevel::O3, "peephole level");
+  o.peephole_engine =
+      checked_enum(r, PeepholeEngine::Legacy, "peephole engine");
+  o.resynth = checked_enum(r, ResynthLevel::Routed, "resynth level");
+  o.validation.level =
+      checked_enum(r, ValidationLevel::Paranoid, "validation");
+  o.lookahead = r.size("lookahead");
+  o.simplify.num_starts = r.size("num_starts");
+  o.simplify.beam_width = r.size("beam_width");
   if (o.simplify.num_starts == 0 || o.simplify.beam_width == 0)
-    fail("simplify search knobs must be >= 1");
+    r.fail("simplify search knobs must be >= 1");
 
-  r.expect("coupling");
-  const std::uint64_t nvert = r.u64("coupling vertices");
-  const std::uint64_t nedge = r.u64("coupling edges");
+  const std::uint64_t nvert = r.varint("coupling vertices");
+  if (nvert > kMaxCouplingVertices)
+    r.fail("coupling graph of " + std::to_string(nvert) +
+           " vertices exceeds the limit of " +
+           std::to_string(kMaxCouplingVertices));
+  const std::size_t nedge = r.count("coupling edges", 2);  // two varints
   if (nvert > 0) {
     auto graph = std::make_shared<Graph>(static_cast<std::size_t>(nvert));
-    for (std::uint64_t i = 0; i < nedge; ++i) {
-      r.expect("e");
-      const std::uint64_t a = r.u64("edge endpoint");
-      const std::uint64_t b = r.u64("edge endpoint");
-      if (a >= nvert || b >= nvert || a == b) fail("bad coupling edge");
+    for (std::size_t i = 0; i < nedge; ++i) {
+      const std::uint64_t a = r.varint("edge endpoint");
+      const std::uint64_t b = r.varint("edge endpoint");
+      if (a >= nvert || b >= nvert || a == b) r.fail("bad coupling edge");
       try {
         graph->add_edge(static_cast<std::size_t>(a),
                         static_cast<std::size_t>(b));
       } catch (const std::exception& e) {
-        fail(std::string("bad coupling edge: ") + e.what());
+        r.fail(std::string("bad coupling edge: ") + e.what());
       }
     }
     req.coupling = std::move(graph);
     o.hardware_aware = true;
   } else if (nedge != 0) {
-    fail("coupling edge count without vertices");
+    r.fail("coupling edge count without vertices");
   }
 
-  r.expect("deadline");
-  req.deadline_ms = r.dbl("deadline");
-  r.expect("priority");
-  const double prio = r.dbl("priority");
-  if (!(prio >= -2147483648.0 && prio <= 2147483647.0) ||
-      prio != static_cast<double>(static_cast<int>(prio)))
-    fail("priority out of range");
+  req.deadline_ms = r.f64("deadline");
+  const std::uint64_t zz = r.varint("priority");
+  const std::int64_t prio =
+      static_cast<std::int64_t>(zz >> 1) ^ -static_cast<std::int64_t>(zz & 1);
+  if (prio < std::numeric_limits<int>::min() ||
+      prio > std::numeric_limits<int>::max())
+    r.fail("priority " + std::to_string(prio) + " out of range");
   priority = static_cast<int>(prio);
-  r.expect("end");
-  r.expect_exhausted();
+  // The payload must hold exactly one request: a second concatenated one
+  // or garbage from a mis-framed write would otherwise pass as valid.
+  if (r.left() != 0)
+    r.fail(std::to_string(r.left()) + " trailing bytes after the request");
   return req;
 }
 

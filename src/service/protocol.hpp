@@ -25,12 +25,12 @@ namespace phoenix {
 /// once per connection, so a stale client fails fast with a structured
 /// error instead of desynchronizing the stream. Each payload carries its own
 /// schema tag, so protocol framing and payload schemas evolve
-/// independently: the `Result` payload is the binary CompileResult encoding
-/// of phoenix/serialize.hpp (magic `PHXR` + schema version, the same bytes
-/// the disk cache persists), while Submit, ErrorReply, SubmitAck, Status,
-/// CancelAck and StatsReply payloads stay whitespace-separated text tokens
-/// (the Submit document opens with `phoenix-compile-request v<N>`; strings
-/// are '%'-escaped, doubles travel as the hex of their IEEE-754 bits).
+/// independently: the `Submit` payload is the binary compile-request
+/// encoding below (magic `PHXQ` + schema version), the `Result` payload the
+/// binary CompileResult encoding of phoenix/serialize.hpp (magic `PHXR` +
+/// schema version, the same bytes the disk cache persists), while
+/// ErrorReply, SubmitAck, Status, CancelAck and StatsReply payloads stay
+/// whitespace-separated text tokens (strings '%'-escaped).
 ///
 /// Conversation model: the client multiplexes requests on one connection by
 /// request_id. `Submit` is answered immediately with `SubmitAck` (the
@@ -55,7 +55,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
 
 enum class FrameType : std::uint16_t {
-  Submit = 1,     ///< client -> server: compile_request_to_bytes payload
+  Submit = 1,     ///< client -> server: binary `PHXQ` compile request
   SubmitAck = 2,  ///< server -> client: `ack <fingerprint-hex> <hit 0|1>`
   Result = 3,     ///< server -> client: compile_result_to_bytes payload
   ErrorReply = 4, ///< server -> client: `err <kind> <stage> <detail>`
@@ -93,18 +93,60 @@ DecodeResult decode_frame(const char* data, std::size_t size,
                           std::size_t max_payload, Frame& out,
                           std::size_t& consumed);
 
-/// Serialize a compile request (+ scheduling priority) as the Submit
-/// payload: register size, normalized-order-preserving term list, the
-/// output-relevant option subset the daemon accepts remotely (ISA, peephole
-/// level/engine, validation level, simplify search knobs, Tetris lookahead,
-/// and — when hardware-aware — the coupling edge list), the deadline and
-/// priority. `options.coupling`/`coupling` travel as an explicit edge list;
-/// cancel tokens and thread counts deliberately do not travel.
+/// Submit payload: one compile request plus its scheduling priority, in a
+/// compact binary encoding that carries each term as its binary-symplectic
+/// [X|Z] rows. Every multi-byte fixed-width value is little-endian; "varint"
+/// is unsigned LEB128 of at most 10 bytes; n is the register size.
+///
+///   field      encoding
+///   magic      u32 kCompileRequestMagic ("PHXQ" on the wire)
+///   schema     varint kCompileRequestSchemaVersion
+///   register   varint n, varint term count
+///   terms      per term, in request order: the X row, then the Z row, each
+///              ceil(n/8) bytes (qubit q is bit q%8 of byte q/8, the BitVec
+///              word bits in little-endian order; bits >= n must be clear),
+///              then the coefficient's 8 IEEE-754 bytes
+///   options    5 ordinal bytes: isa, peephole, peephole engine, resynth,
+///              validation level; varints lookahead, simplify num_starts,
+///              simplify beam_width
+///   coupling   varint vertex count (0 = logical compile), varint edge
+///              count, then each edge as two varint endpoints
+///   deadline   8 IEEE-754 bytes of deadline_ms (kNoDeadline = +inf)
+///   priority   zigzag varint
+///
+/// The encoder is deterministic: equal requests encode to equal bytes, which
+/// the server's wire memo keys on. Every other PhoenixOptions field (thread
+/// counts, SABRE knobs, validation tolerances, trace) and the cancel token
+/// stay on the caller's side; the decoder leaves them at their defaults.
+///
+/// Versioning: the schema tag is exact-match. v1 and v2 were whitespace text
+/// documents opening `phoenix-compile-request v<N>`; v3 is this binary
+/// layout. A foreign magic or version is rejected naming both versions, so
+/// a stale peer fails with a clear Parse error instead of compiling the
+/// wrong program.
+inline constexpr std::uint32_t kCompileRequestMagic = 0x51584850u;  // "PHXQ"
+inline constexpr std::uint64_t kCompileRequestSchemaVersion = 3;
+/// Largest coupling graph a Submit may carry: well above the 65-qubit
+/// heavy-hex device, and small enough that neither the decoded graph nor a
+/// compile's all-pairs routing distances over it can grow large.
+inline constexpr std::size_t kMaxCouplingVertices = 4096;
+
+/// Encode a compile request (+ scheduling priority) as the Submit payload
+/// above. `req.coupling` (or `options.coupling`) travels as an explicit edge
+/// list when `options.hardware_aware` is set. Throws phoenix::Error
+/// (Stage::Parse) when a term's register differs from `req.num_qubits`.
 std::string compile_request_to_bytes(const CompileRequest& req, int priority);
 
-/// Parse a Submit payload. Throws phoenix::Error (Stage::Parse) on schema
-/// mismatch, malformed fields, out-of-range enum ordinals, or trailing
-/// bytes. The returned request owns its coupling graph via `req.coupling`.
+/// Decode a Submit payload straight into BitVec rows. Throws phoenix::Error
+/// (Stage::Parse), and nothing else, on: a foreign magic or schema version;
+/// truncation or a varint over 10 bytes or 64 bits; a term or edge count
+/// that the bytes left cannot hold; a register size whose term rows the
+/// bytes left cannot hold; a vertex count above kMaxCouplingVertices; set
+/// bits beyond the register in a row's last byte; an out-of-range option
+/// ordinal or a zero num_starts / beam_width; an edge endpoint out of range,
+/// a self loop or a duplicate edge; a priority outside `int`; or any byte
+/// after the priority. Every count is checked before anything is allocated.
+/// The returned request owns its coupling graph via `req.coupling`.
 CompileRequest compile_request_from_bytes(const std::string& bytes,
                                           int& priority);
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -239,14 +240,24 @@ struct ServedServer::Impl {
       return;
     }
 
+    // A payload that fails to decode costs only its own request: framing
+    // is intact, so it gets a Parse ErrorReply and the connection, with
+    // whatever else is in flight on it, carries on.
     int priority = 0;
     CompileRequest req;
+    std::optional<Error> malformed;
     try {
       req = compile_request_from_bytes(f.payload, priority);
     } catch (const Error& e) {
+      malformed = e;
+    } catch (const std::exception& e) {
+      malformed = Error(Stage::Parse, std::string("phoenix-protocol: ") +
+                                          e.what());
+    }
+    if (malformed) {
       frame_errors.fetch_add(1, std::memory_order_relaxed);
       trace_count("net.frame_errors", 1);
-      send_error(*c, f.request_id, e);
+      send_error(*c, f.request_id, *malformed);
       return;
     }
 

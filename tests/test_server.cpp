@@ -1,5 +1,6 @@
 // phoenix_served tests: the frame codec under malformed and fuzzed input,
-// the compile-request payload codec, live PooledClient/server round-trips
+// the binary compile-request payload codec (round trips, determinism,
+// prefixes, bit flips, hostile counts), live PooledClient/server round-trips
 // over TCP and Unix-domain sockets (bit-identical to in-process compiles,
 // multiplexing, deadlines, mid-flight cancel, admission control), raw-frame
 // protocol cases (poll, cancel of a retired id, violations that must not
@@ -14,17 +15,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "hamlib/uccsd.hpp"
+#include "mapping/topology.hpp"
 #include "phoenix/serialize.hpp"
 #include "service/client.hpp"
 #include "service/net.hpp"
@@ -210,7 +216,7 @@ TEST(Protocol, BitFlippedSubmitPayloadNeverCrashesTheParser) {
         static_cast<char>(1u << (rng.next() % 8));
     int priority = 0;
     try {
-      // A single bit flip may still parse (e.g. inside a coefficient's hex
+      // A single bit flip may still parse (e.g. inside a coefficient's
       // bits); what it must never do is crash or hang.
       compile_request_from_bytes(bad, priority);
     } catch (const Error& e) {
@@ -280,13 +286,295 @@ TEST(Protocol, CompileRequestRejectsTrailingAndOutOfRangeInput) {
   int priority = 0;
   EXPECT_THROW(compile_request_from_bytes(doc + " junk", priority), Error);
   EXPECT_THROW(compile_request_from_bytes(doc + doc, priority), Error);
+  EXPECT_THROW(compile_request_from_bytes(doc + '\0', priority), Error);
 
-  // Out-of-range validation ordinal: field 4 of the options line.
-  std::string bad = doc;
-  const auto pos = bad.find("options ");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, 8, "optionz ");
+  // Out-of-range validation ordinal: the one byte in which a Paranoid
+  // request's encoding differs from an Off one's.
+  CompileRequest off = tiny_request(), paranoid = tiny_request();
+  off.options.validation.level = ValidationLevel::Off;
+  paranoid.options.validation.level = ValidationLevel::Paranoid;
+  std::string bad = compile_request_to_bytes(paranoid, 0);
+  const std::string base = compile_request_to_bytes(off, 0);
+  ASSERT_EQ(bad.size(), base.size());
+  const auto at = std::mismatch(bad.begin(), bad.end(), base.begin()).first;
+  ASSERT_NE(at, bad.end());
+  EXPECT_NO_THROW(compile_request_from_bytes(bad, priority));
+  *at = static_cast<char>(static_cast<int>(ValidationLevel::Paranoid) + 1);
   EXPECT_THROW(compile_request_from_bytes(bad, priority), Error);
+}
+
+/// Field for field, coefficients and the deadline by bit pattern.
+void expect_requests_identical(const CompileRequest& a, int a_priority,
+                               const CompileRequest& b, int b_priority) {
+  EXPECT_EQ(a_priority, b_priority);
+  EXPECT_EQ(a.num_qubits, b.num_qubits);
+  ASSERT_EQ(a.terms.size(), b.terms.size());
+  for (std::size_t i = 0; i < a.terms.size(); ++i) {
+    EXPECT_EQ(a.terms[i].string, b.terms[i].string) << "term " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.terms[i].coeff),
+              std::bit_cast<std::uint64_t>(b.terms[i].coeff))
+        << "term " << i;
+  }
+  const PhoenixOptions &oa = a.options, &ob = b.options;
+  EXPECT_EQ(oa.isa, ob.isa);
+  EXPECT_EQ(oa.peephole, ob.peephole);
+  EXPECT_EQ(oa.peephole_engine, ob.peephole_engine);
+  EXPECT_EQ(oa.resynth, ob.resynth);
+  EXPECT_EQ(oa.validation.level, ob.validation.level);
+  EXPECT_EQ(oa.lookahead, ob.lookahead);
+  EXPECT_EQ(oa.simplify.num_starts, ob.simplify.num_starts);
+  EXPECT_EQ(oa.simplify.beam_width, ob.simplify.beam_width);
+  EXPECT_EQ(oa.hardware_aware, ob.hardware_aware);
+  const Graph *ga = a.coupling_graph(), *gb = b.coupling_graph();
+  ASSERT_EQ(ga == nullptr, gb == nullptr);
+  if (ga != nullptr) {
+    EXPECT_EQ(ga->num_vertices(), gb->num_vertices());
+    EXPECT_EQ(ga->edges(), gb->edges());
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.deadline_ms),
+            std::bit_cast<std::uint64_t>(b.deadline_ms));
+}
+
+/// A hardware-aware request on `n` qubits whose terms hit the encoding's
+/// edges: the identity string, the last qubit alone, every qubit set, and
+/// -0.0, a NaN payload, ±inf and a denormal as coefficients.
+CompileRequest edge_request(std::size_t n) {
+  CompileRequest req;
+  req.num_qubits = n;
+  PauliString last(n), full(n);
+  last.set_op(n - 1, Pauli::Y);
+  for (std::size_t q = 0; q < n; ++q)
+    full.set_op(q, static_cast<Pauli>(1 + q % 3));
+  req.terms = {{PauliString(n), -0.0},
+               {last, std::bit_cast<double>(0x7ff80000deadbeefull)},
+               {full, std::numeric_limits<double>::infinity()},
+               {last, -std::numeric_limits<double>::infinity()},
+               {full, std::numeric_limits<double>::denorm_min()},
+               {PauliString(n), 0.375}};
+  auto g = std::make_shared<Graph>(n);
+  for (std::size_t q = n; q-- > 1;) g->add_edge(q, q - 1);  // reversed line
+  req.coupling = g;
+  PhoenixOptions& o = req.options;
+  o.hardware_aware = true;
+  o.isa = TwoQubitIsa::Su4;
+  o.peephole = PeepholeLevel::O3;
+  o.peephole_engine = PeepholeEngine::Legacy;
+  o.resynth = ResynthLevel::Routed;
+  o.validation.level = ValidationLevel::Paranoid;
+  o.lookahead = 300;
+  o.simplify.num_starts = 129;
+  o.simplify.beam_width = 2;
+  return req;
+}
+
+TEST(Protocol, CompileRequestRoundTripIsBitIdentical) {
+  const std::pair<int, double> cases[] = {
+      {std::numeric_limits<int>::min(), CompileRequest::kNoDeadline},
+      {-4, 0.0},
+      {std::numeric_limits<int>::max(), -1.0}};
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (const auto& [priority, deadline] : cases) {
+      CompileRequest req = edge_request(n);
+      req.deadline_ms = deadline;
+      const std::string bytes = compile_request_to_bytes(req, priority);
+      int back_priority = 0;
+      const CompileRequest back =
+          compile_request_from_bytes(bytes, back_priority);
+      expect_requests_identical(req, priority, back, back_priority);
+      EXPECT_EQ(compile_request_to_bytes(back, back_priority), bytes)
+          << n << " qubits, priority " << priority;
+    }
+  }
+}
+
+/// LiH_frz_BK on the 65-qubit heavy-hex device, as a hardware-aware client
+/// submits it.
+CompileRequest lih_heavy_hex_request() {
+  const UccsdBenchmark b =
+      generate_uccsd(Molecule::lih(), true, FermionEncoding::BravyiKitaev);
+  CompileRequest req;
+  req.terms = b.terms;
+  req.num_qubits = b.num_qubits;
+  req.coupling = std::make_shared<const Graph>(topology_manhattan());
+  req.options.hardware_aware = true;
+  return req;
+}
+
+// The wire memo and warm replays key on the payload bytes, so equal
+// requests must encode to equal bytes, and a decoded request re-encodes to
+// the bytes it came from.
+TEST(Protocol, CompileRequestEncodingIsDeterministic) {
+  const CompileRequest req = lih_heavy_hex_request();
+  const std::string bytes = compile_request_to_bytes(req, 2);
+  EXPECT_EQ(compile_request_to_bytes(req, 2), bytes);
+  int priority = 0;
+  const CompileRequest back = compile_request_from_bytes(bytes, priority);
+  EXPECT_EQ(compile_request_to_bytes(back, priority), bytes);
+}
+
+bool rejected_as_parse_error(const std::string& bytes) {
+  try {
+    int priority = 0;
+    compile_request_from_bytes(bytes, priority);
+  } catch (const Error& e) {
+    return e.stage() == Stage::Parse;
+  }
+  return false;
+}
+
+TEST(Protocol, CompileRequestRejectsEveryProperPrefix) {
+  const std::string bytes = compile_request_to_bytes(edge_request(65), -4);
+  for (std::size_t len = 0; len < bytes.size(); ++len)
+    ASSERT_TRUE(rejected_as_parse_error(bytes.substr(0, len)))
+        << "prefix of " << len << " of " << bytes.size() << " bytes accepted";
+}
+
+// Every single-bit corruption of a real hardware-aware request either still
+// decodes (a flipped coefficient or row bit is another well-formed request)
+// or raises Error(Parse): never a crash, a foreign exception type or a huge
+// allocation. The sanitizer builds run this too.
+TEST(Protocol, CompileRequestEverySingleBitFlipDecodesOrThrowsParse) {
+  const std::string bytes = compile_request_to_bytes(lih_heavy_hex_request(), 0);
+  std::size_t rejected = 0, decoded = 0;
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    try {
+      int priority = 0;
+      compile_request_from_bytes(flipped, priority);
+      ++decoded;
+    } catch (const Error& e) {
+      ASSERT_EQ(e.stage(), Stage::Parse) << "bit " << bit;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
+}
+
+TEST(Protocol, CompileRequestRejectsBitsBeyondTheRegister) {
+  // Five qubits: each row is one byte, and bits 5..7 of it must be clear.
+  CompileRequest req;
+  req.num_qubits = 5;
+  req.terms = {{"XIIIZ", 0.5}};
+  const std::string bytes = compile_request_to_bytes(req, 0);
+  const std::size_t x_row = 7;  // magic, schema, register, term count
+  ASSERT_EQ(static_cast<unsigned char>(bytes[x_row]), 0x01u);
+  ASSERT_EQ(static_cast<unsigned char>(bytes[x_row + 1]), 0x10u);  // Z row
+  EXPECT_FALSE(rejected_as_parse_error(bytes));
+  for (const std::size_t row : {x_row, x_row + 1}) {
+    for (int bit = 5; bit < 8; ++bit) {
+      std::string bad = bytes;
+      bad[row] = static_cast<char>(bad[row] | (1 << bit));
+      EXPECT_TRUE(rejected_as_parse_error(bad)) << "row byte " << row
+                                                << ", bit " << bit;
+    }
+  }
+}
+
+TEST(Protocol, CompileRequestRejectsATextDocumentNamingBothVersions) {
+  const std::string text =
+      "phoenix-compile-request v2\nqubits 3 terms 1000000000000\nend\n";
+  int priority = 0;
+  try {
+    compile_request_from_bytes(text, priority);
+    ADD_FAILURE() << "text document accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.stage(), Stage::Parse);
+    EXPECT_NE(e.detail().find("v2"), std::string::npos) << e.detail();
+    EXPECT_NE(e.detail().find("v3"), std::string::npos) << e.detail();
+  }
+  // A binary payload of a foreign schema version names both, too.
+  std::string stale = compile_request_to_bytes(tiny_request(), 0);
+  stale[4] = 2;  // the schema varint follows the 4-byte magic
+  try {
+    compile_request_from_bytes(stale, priority);
+    ADD_FAILURE() << "schema v2 accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.stage(), Stage::Parse);
+    EXPECT_NE(e.detail().find("version 2"), std::string::npos) << e.detail();
+    EXPECT_NE(e.detail().find("reads 3"), std::string::npos) << e.detail();
+  }
+}
+
+/// A Submit payload assembled field by field from the documented layout,
+/// for counts and values no encoder writes. The defaults decode to an empty
+/// 4-qubit logical request.
+struct RawRequest {
+  std::uint64_t qubits = 4, terms = 0;
+  std::string term_bytes = {};
+  std::uint64_t num_starts = 1;
+  std::uint64_t vertices = 0, edges = 0;
+  std::vector<std::uint64_t> endpoints = {};
+  std::uint64_t zigzag_priority = 0;
+
+  std::string encode() const {
+    std::string out;
+    put_u32(out, kCompileRequestMagic);
+    put_varint(out, kCompileRequestSchemaVersion);
+    put_varint(out, qubits);
+    put_varint(out, terms);
+    out += term_bytes;
+    out += std::string(5, '\0');  // isa .. validation ordinals
+    put_varint(out, 0);           // lookahead
+    put_varint(out, num_starts);
+    put_varint(out, 1);  // beam_width
+    put_varint(out, vertices);
+    put_varint(out, edges);
+    for (const std::uint64_t v : endpoints) put_varint(out, v);
+    put_u64(out, std::bit_cast<std::uint64_t>(CompileRequest::kNoDeadline));
+    put_varint(out, zigzag_priority);
+    return out;
+  }
+};
+
+// Counts that claim 2^40 elements (or a 2^40-qubit register) are rejected
+// against the bytes actually left, and the vertex count against
+// kMaxCouplingVertices, before anything is reserved: an allocation of that
+// size would surface as std::bad_alloc or std::length_error, not a Parse
+// error. The remaining field checks ride along.
+TEST(Protocol, CompileRequestRejectsHugeCountsAndBadFieldsWithoutAllocating) {
+  constexpr std::uint64_t kHuge = 1ull << 40;
+  const std::string one_term(2 + 8, '\0');  // two 1-byte rows + coeff
+  ASSERT_FALSE(rejected_as_parse_error(RawRequest{}.encode()));
+  ASSERT_FALSE(
+      rejected_as_parse_error(RawRequest{.terms = 1, .term_bytes = one_term}
+                                  .encode()));
+  ASSERT_FALSE(rejected_as_parse_error(  // a 0-qubit term: empty rows
+      RawRequest{.qubits = 0, .terms = 1, .term_bytes = std::string(8, '\0')}
+          .encode()));
+  ASSERT_FALSE(rejected_as_parse_error(
+      RawRequest{.vertices = kMaxCouplingVertices, .edges = 1,
+                 .endpoints = {0, 4095}}
+          .encode()));
+  ASSERT_FALSE(rejected_as_parse_error(
+      RawRequest{.zigzag_priority = (1ull << 32) - 1}.encode()));  // INT_MIN
+
+  const RawRequest bad[] = {
+      {.terms = kHuge},
+      {.qubits = kHuge, .terms = 1, .term_bytes = one_term},
+      {.qubits = ~0ull, .terms = 1, .term_bytes = one_term},
+      {.num_starts = 0},
+      {.vertices = kHuge},
+      {.vertices = kMaxCouplingVertices + 1},
+      {.vertices = 4, .edges = kHuge},
+      {.edges = 1, .endpoints = {0, 1}},  // edges without vertices
+      {.vertices = 4, .edges = 1, .endpoints = {0, 4}},
+      {.vertices = 4, .edges = 1, .endpoints = {2, 2}},
+      {.vertices = 4, .edges = 2, .endpoints = {0, 1, 1, 0}},
+      {.zigzag_priority = 1ull << 32},  // INT_MAX + 1
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i)
+    EXPECT_TRUE(rejected_as_parse_error(bad[i].encode())) << "case " << i;
+
+  // An 11-byte varint, and a 10-byte one that overflows 64 bits.
+  std::string overlong;
+  put_u32(overlong, kCompileRequestMagic);
+  put_varint(overlong, kCompileRequestSchemaVersion);
+  EXPECT_TRUE(rejected_as_parse_error(
+      overlong + std::string(10, static_cast<char>(0x80)) + '\x01'));
+  EXPECT_TRUE(rejected_as_parse_error(
+      overlong + std::string(9, static_cast<char>(0xff)) + '\x02'));
 }
 
 TEST(Protocol, ErrorPayloadRoundTripsKindStageAndDetail)
@@ -692,6 +980,48 @@ TEST(ServerWire, CorruptSubmitPayloadKeepsTheConnectionUsable) {
   EXPECT_FALSE(result.payload.empty());
   EXPECT_GE(server.stats().frame_errors, 1u);
   server.stop();
+}
+
+/// A Submit whose counts no decoder may allocate for, sent on a connection
+/// that has another submission in flight: the bad one gets a Parse
+/// ErrorReply under its own id and one frame error, and the held one still
+/// gets its Result on the same connection afterwards.
+void expect_rejected_beside_inflight(const std::string& payload) {
+  Gate gate;
+  ServerOptions opt = tcp_options();
+  opt.compile_fn = gate.fn();
+  ServedServer server(opt);
+  server.start();
+  RawConn conn(server);
+  conn.send(FrameType::Submit, 1, compile_request_to_bytes(tiny_request(), 0));
+  const Frame ack = conn.read_frame();
+  EXPECT_EQ(ack.type, FrameType::SubmitAck);
+  EXPECT_EQ(ack.request_id, 1u);
+
+  const std::uint64_t frame_errors = server.stats().frame_errors;
+  conn.send(FrameType::Submit, 2, payload);
+  const Frame reply = conn.read_frame();
+  EXPECT_EQ(reply.type, FrameType::ErrorReply);
+  EXPECT_EQ(reply.request_id, 2u);
+  EXPECT_EQ(error_from_payload(reply.payload).stage(), Stage::Parse);
+  EXPECT_EQ(server.stats().frame_errors, frame_errors + 1);
+
+  gate.release();
+  const Frame result = conn.read_frame();
+  EXPECT_EQ(result.type, FrameType::Result);
+  EXPECT_EQ(result.request_id, 1u);
+  EXPECT_EQ(compile_result_from_bytes(result.payload).circuit.num_qubits(),
+            4u);
+  server.stop();
+}
+
+TEST(ServerWire, HugeTermCountGetsParseErrorBesideAnInflightRequest) {
+  expect_rejected_beside_inflight(RawRequest{.terms = 1ull << 40}.encode());
+}
+
+TEST(ServerWire, HugeVertexCountGetsParseErrorBesideAnInflightRequest) {
+  expect_rejected_beside_inflight(
+      RawRequest{.vertices = 1ull << 40}.encode());
 }
 
 TEST(ServerWire, DisconnectWithInflightCompileCancelsIt) {

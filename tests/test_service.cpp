@@ -18,12 +18,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <random>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "hamlib/io.hpp"
@@ -364,6 +368,103 @@ TEST(Fingerprint, SuiteFingerprintsArePinned) {
         << b.name;
 }
 
+/// The fingerprint as it was computed before the index sort, kept as the
+/// oracle: copy the terms, canonicalize_terms (merge duplicates in request
+/// order, drop exact zeros), sort by symplectic content, hash.
+Digest128 reference_fingerprint(const std::vector<PauliTerm>& terms,
+                                std::size_t num_qubits,
+                                const PhoenixOptions& opt,
+                                const Graph* coupling) {
+  Hash128 h(kFingerprintSchemaVersion);
+  h.write_size(num_qubits);
+  std::vector<PauliTerm> canon = terms;
+  canonicalize_terms(canon);
+  std::sort(canon.begin(), canon.end(),
+            [](const PauliTerm& a, const PauliTerm& b) {
+              return pauli_string_less(a.string, b.string);
+            });
+  h.write_size(canon.size());
+  for (const PauliTerm& t : canon) {
+    t.string.hash_into(h);
+    h.write_double(t.coeff);
+  }
+  hash_options(h, opt, coupling);
+  return h.digest();
+}
+
+// The index-sort normalization must reproduce the reference bit for bit on
+// the inputs where a merge is delicate: 2–5 copies of a string spread
+// through request order, copies that cancel to exactly +0 and -0, and
+// -0.0 / NaN / ±inf coefficients, on registers of 1–130 qubits, half of them
+// hardware-aware with edge lists inserted in shuffled order.
+TEST(Fingerprint, IndexSortMatchesTheCopyingReference) {
+  std::mt19937_64 rng(0x5eed20);
+  const double kNan = std::bit_cast<double>(0x7ff8000000c0ffeeull);
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::size_t merged_runs = 0, zero_sums = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const std::size_t n = 1 + rng() % 130;
+    std::vector<PauliTerm> terms;
+    const std::size_t distinct = 1 + rng() % 10;
+    for (std::size_t d = 0; d < distinct; ++d) {
+      PauliString s(n);
+      if (rng() % 8 != 0)  // else: the identity string
+        for (std::size_t q = 0; q < n; ++q)
+          s.set_op(q, static_cast<Pauli>(rng() % 4));
+      const std::size_t copies = rng() % 3 == 0 ? 1 : 2 + rng() % 4;
+      const double c = static_cast<double>(rng() % 2001) / 1000.0 - 1.0;
+      std::vector<double> coeffs;
+      const unsigned kind = rng() % 8;
+      switch (kind) {
+        case 0:  // cancels to exactly +0
+          coeffs = {c, -c};
+          break;
+        case 1:  // sums to -0
+          coeffs.assign(copies, -0.0);
+          break;
+        case 2:
+          coeffs = {c, kNan};
+          break;
+        case 3:
+          coeffs = {kInf, c, -kInf};
+          break;
+        default:
+          for (std::size_t k = 0; k < copies; ++k)
+            coeffs.push_back(static_cast<double>(rng() % 4001) / 2000.0 -
+                             1.0);
+      }
+      merged_runs += coeffs.size() > 1 ? 1 : 0;
+      zero_sums += kind <= 1 ? 1 : 0;
+      for (const double coeff : coeffs) terms.emplace_back(s, coeff);
+    }
+    std::shuffle(terms.begin(), terms.end(), rng);
+
+    PhoenixOptions opt;
+    std::unique_ptr<Graph> graph;
+    if (trial % 2 == 1 && n >= 2) {
+      std::set<std::pair<std::size_t, std::size_t>> unique;
+      for (std::size_t q = 0; q + 1 < n; ++q) unique.emplace(q, q + 1);
+      for (std::size_t k = 0; k < n / 4; ++k) {
+        const std::size_t a = rng() % n, b = rng() % n;
+        if (a != b) unique.emplace(std::min(a, b), std::max(a, b));
+      }
+      std::vector<std::pair<std::size_t, std::size_t>> edges(unique.begin(),
+                                                             unique.end());
+      std::shuffle(edges.begin(), edges.end(), rng);
+      graph = std::make_unique<Graph>(n);
+      for (const auto& [a, b] : edges)
+        rng() % 2 == 0 ? graph->add_edge(a, b) : graph->add_edge(b, a);
+      opt.hardware_aware = true;
+    }
+    ASSERT_EQ(fingerprint_request(terms, n, opt, graph.get()),
+              reference_fingerprint(terms, n, opt, graph.get()))
+        << "trial " << trial << ", " << terms.size() << " terms on " << n
+        << " qubits";
+  }
+  EXPECT_GT(merged_runs, 1000u);
+  EXPECT_GT(zero_sums, 500u);
+}
+
 // --- serialization ----------------------------------------------------------
 
 void expect_results_identical(const CompileResult& a, const CompileResult& b) {
@@ -488,11 +589,6 @@ TEST(SerializeResult, RejectsEveryProperPrefix) {
   for (std::size_t len = 0; len < bytes.size(); ++len)
     ASSERT_TRUE(rejected_as_parse_error(bytes.substr(0, len)))
         << "prefix of " << len << " of " << bytes.size() << " bytes accepted";
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-  for (; v >= 0x80; v >>= 7) out += static_cast<char>((v & 0x7f) | 0x80);
-  out += static_cast<char>(v);
 }
 
 /// Magic, schema version and a `qubits`-wide register.
