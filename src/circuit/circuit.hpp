@@ -24,8 +24,6 @@ class Circuit {
 
   const std::vector<Gate>& gates() const { return gates_; }
   const Gate& gate(std::size_t i) const { return gates_[i]; }
-  /// Overwrite gate i's rotation angle (i < size()).
-  void set_param(std::size_t i, double param) { gates_[i].param = param; }
 
   void append(Gate g);
   void append(const Circuit& other);

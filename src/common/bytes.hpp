@@ -31,6 +31,12 @@ inline void put_u64(std::string& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
+/// put_u64's 8 bytes written over `at[0..8)` in place: the bind path's
+/// rewrite of an angle inside an encoded result.
+inline void store_u64(char* at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i, v >>= 8) at[i] = static_cast<char>(v & 0xff);
+}
+
 inline std::uint16_t get_u16(const unsigned char* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }

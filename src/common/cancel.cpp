@@ -25,14 +25,15 @@ std::int64_t now_ns() {
       .count();
 }
 
-std::int64_t deadline_ns_after(double ms) {
-  // Saturate rather than overflow for absurdly large timeouts.
-  const double ns = ms * 1e6;
-  if (ns >= static_cast<double>(kNoDeadlineNs) / 2) return kNoDeadlineNs;
-  return now_ns() + static_cast<std::int64_t>(ns);
-}
-
 }  // namespace
+
+Clock::time_point deadline_after_ms(double ms) {
+  if (ms >= kMaxDeadlineMs) return Clock::time_point::max();
+  // NaN fails the comparison and saturates with -inf.
+  const double clamped = ms > -kMaxDeadlineMs ? ms : -kMaxDeadlineMs;
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double, std::milli>(clamped));
+}
 
 struct CancelToken::State {
   std::atomic<bool> cancelled{false};
@@ -99,7 +100,7 @@ CancelSource::CancelSource(CancelToken parent) {
 
 CancelSource::CancelSource(double deadline_ms, CancelToken parent)
     : CancelSource(std::move(parent)) {
-  state_->deadline_ns.store(deadline_ns_after(deadline_ms),
+  state_->deadline_ns.store(to_ns(deadline_after_ms(deadline_ms)),
                             std::memory_order_relaxed);
 }
 

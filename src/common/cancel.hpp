@@ -74,8 +74,10 @@ class CancelToken {
     check_slow(stage);
   }
 
-  /// Standalone deadline-only token expiring `ms` from now (ms <= 0 makes a
-  /// token that is already expired — useful for shedding ahead of work).
+  /// Standalone deadline-only token expiring `ms` from now, converted by
+  /// deadline_after_ms: ms <= 0 makes a token that is already expired
+  /// (useful for shedding ahead of work), ms >= kMaxDeadlineMs a token with
+  /// no deadline, and after_ms(NaN) an expired token, as after_ms(-inf).
   static CancelToken after_ms(double ms);
 
  private:
@@ -84,6 +86,21 @@ class CancelToken {
   void check_slow(Stage stage) const;
   std::shared_ptr<const State> state_;
 };
+
+/// Relative deadlines at or above this many milliseconds (about 31.7
+/// years, +inf included) mean "no deadline".
+inline constexpr double kMaxDeadlineMs = 1e12;
+
+/// The absolute deadline `ms` milliseconds from now: the one saturating
+/// conversion behind every relative deadline (cancel tokens, the compile
+/// service's waits), so no double reaches an integer clock unchecked.
+///  * ms >= kMaxDeadlineMs: no deadline, time_point::max();
+///  * ms <= 0: already expired; below -kMaxDeadlineMs (-inf included) it
+///    saturates there;
+///  * NaN: treated as -inf, already expired. Callers that take a deadline
+///    from outside reject NaN before it gets here (compile_request_from_bytes
+///    and CompileService::submit/compile do).
+CancelToken::Clock::time_point deadline_after_ms(double ms);
 
 /// Owning side of a cancellation scope: create one per request (or per
 /// shared in-flight compile), hand `token()` down, call `request_cancel()`
@@ -95,7 +112,7 @@ class CancelSource {
   /// No deadline, optionally chained to a parent token (the source trips
   /// when the parent does).
   explicit CancelSource(CancelToken parent = {});
-  /// Deadline `ms` from now (ms <= 0: already expired).
+  /// Deadline `ms` from now, as deadline_after_ms converts it.
   explicit CancelSource(double deadline_ms, CancelToken parent = {});
 
   void request_cancel();

@@ -5,6 +5,8 @@
 #include <cstdint>
 
 #include "common/angles.hpp"
+#include "common/bytes.hpp"
+#include "phoenix/serialize.hpp"
 
 namespace phoenix {
 
@@ -20,11 +22,19 @@ double probe_coeff(std::size_t term) {
   return kProbeBase + static_cast<double>(term) * kProbeStep;
 }
 
+/// A parametric gate of a probe-compiled circuit and the term it decodes to.
+struct ProbeSlot {
+  std::size_t gate;  ///< index into the circuit
+  std::size_t term;
+  bool negated;
+  bool operator==(const ProbeSlot&) const = default;
+};
+
 /// The slots of one probe-compiled circuit, or nullopt when some parametric
 /// gate does not decode to exactly one term.
-std::optional<std::vector<CompiledSkeleton::Slot>> decode_slots(
-    const Circuit& circuit, std::size_t num_terms) {
-  std::vector<CompiledSkeleton::Slot> slots;
+std::optional<std::vector<ProbeSlot>> decode_slots(const Circuit& circuit,
+                                                   std::size_t num_terms) {
+  std::vector<ProbeSlot> slots;
   for (std::size_t k = 0; k < circuit.size(); ++k) {
     const Gate& g = circuit.gate(k);
     if (g.kind == GateKind::Su4) return std::nullopt;
@@ -68,20 +78,27 @@ std::optional<CompiledSkeleton> build_skeleton(
   PhoenixOptions popt = opt;
   popt.trace = false;  // the probe's timings describe no request
 
-  CompiledSkeleton s;
-  s.result = phoenix_compile(probe, num_qubits, popt);
-  s.num_terms = terms.size();
-  auto slots = decode_slots(s.result.circuit, terms.size());
-  if (!slots || decode_slots(s.result.logical, terms.size()) != slots)
+  const CompileResult result = phoenix_compile(probe, num_qubits, popt);
+  const auto slots = decode_slots(result.circuit, terms.size());
+  if (!slots || decode_slots(result.logical, terms.size()) != slots)
     return std::nullopt;
   std::vector<bool> has_slot(terms.size(), false);
-  for (const auto& slot : *slots) {
+  for (const ProbeSlot& slot : *slots) {
     if (has_slot[slot.term]) return std::nullopt;
     has_slot[slot.term] = true;
   }
   for (std::size_t i = 0; i < terms.size(); ++i)
     if (has_slot[i] == terms[i].string.is_identity()) return std::nullopt;
-  s.slots = std::move(*slots);
+
+  CompiledSkeleton s;
+  ParamOffsets at;
+  s.image = compile_result_to_bytes(result, &at);
+  s.num_terms = terms.size();
+  s.slots.reserve(slots->size());
+  for (const ProbeSlot& slot : *slots)
+    s.slots.push_back({slot.term, slot.negated, at.circuit[slot.gate],
+                       at.logical.empty() ? ParamOffsets::kNoParam
+                                          : at.logical[slot.gate]});
   return s;
 }
 
@@ -92,21 +109,23 @@ std::optional<double> bound_angle(double coeff, bool negated) {
   return angle;
 }
 
-std::optional<CompileResult> bind_skeleton(
+std::optional<std::string> bind_skeleton(
     const CompiledSkeleton& skeleton, const std::vector<PauliTerm>& terms) {
   if (terms.size() != skeleton.num_terms) return std::nullopt;
-  std::vector<double> angles;
+  std::vector<std::uint64_t> angles;
   angles.reserve(skeleton.slots.size());
   for (const auto& slot : skeleton.slots) {
     const std::optional<double> angle =
         bound_angle(terms[slot.term].coeff, slot.negated);
     if (!angle) return std::nullopt;
-    angles.push_back(*angle);
+    angles.push_back(std::bit_cast<std::uint64_t>(*angle));
   }
-  CompileResult out = skeleton.result;
+  std::string out = skeleton.image;
   for (std::size_t k = 0; k < angles.size(); ++k) {
-    out.circuit.set_param(skeleton.slots[k].gate, angles[k]);
-    out.logical.set_param(skeleton.slots[k].gate, angles[k]);
+    const CompiledSkeleton::Slot& slot = skeleton.slots[k];
+    store_u64(out.data() + slot.circuit_at, angles[k]);
+    if (slot.logical_at != ParamOffsets::kNoParam)
+      store_u64(out.data() + slot.logical_at, angles[k]);
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "pauli/pauli.hpp"
@@ -18,9 +19,10 @@ namespace phoenix {
 /// never looks at an angle's value, so a compile is a fixed gate list with
 /// one Rz slot per non-identity term. Compiling new coefficients for the
 /// same strings, in the same order, then amounts to writing their angles into
-/// a copy of that list, as long as no coefficient takes one of the
-/// compiler's value-dependent branches. `bind_skeleton` checks for exactly
-/// those branches.
+/// that list, as long as no coefficient takes one of the compiler's
+/// value-dependent branches. `bind_skeleton` checks for exactly those
+/// branches, and writes the angles straight into the encoded result
+/// (src/phoenix/serialize.hpp), which is what the wire sends.
 
 /// True when a compile under `opt` depends on the coefficient values only
 /// through the Rz angles:
@@ -32,22 +34,31 @@ namespace phoenix {
 ///  * validation Off: a validated result carries a report on its own terms.
 bool bindable_options(const PhoenixOptions& opt);
 
-/// A probe compile of one structure with every parametric gate traced to the
-/// term whose coefficient it carries.
+/// The encoded probe compile of one structure, with every parametric gate
+/// traced to the term whose coefficient it carries and to the bytes that
+/// hold its angle.
+///
+/// Under bindable options everything in `image` but the slot angles is
+/// already any bound result's: diagnostics and validation are empty, and
+/// `logical` equals `circuit` gate for gate, so it travels as the encoder's
+/// one-byte back-reference and a slot has one offset.
 struct CompiledSkeleton {
   struct Slot {
-    std::size_t gate;  ///< index into `circuit` and `logical` alike
     std::size_t term;  ///< index into the request's terms
     bool negated;      ///< the compiler emitted Rz(2·(−c))
-    bool operator==(const Slot&) const = default;
+    /// Offset in `image` of the angle's 8 bytes in `circuit`, and in a
+    /// written-out `logical` (ParamOffsets::kNoParam for the back-reference).
+    std::size_t circuit_at;
+    std::size_t logical_at;
   };
-  CompileResult result;     ///< the probe compile (empty trace stats)
+  std::string image;        ///< compile_result_to_bytes of the probe compile
   std::vector<Slot> slots;  ///< one per non-identity term
   std::size_t num_terms = 0;
 };
 
 /// Compile `terms`' strings with probe coefficients c_i = 0.5 + i·2⁻³⁰, which
-/// encode each term's index i in its Rz angle, and decode the result. Returns
+/// encode each term's index i in its Rz angle, decode the slots from the
+/// result and encode it, recording each slot's angle offsets. Returns
 /// nullopt when the structure cannot be bound:
 ///  * `opt` fails `bindable_options`;
 ///  * some parametric gate is not an Rz whose angle decodes exactly to one
@@ -71,12 +82,14 @@ std::optional<CompiledSkeleton> build_skeleton(
 /// expression the compiler evaluates.
 std::optional<double> bound_angle(double coeff, bool negated);
 
-/// `skeleton` with `terms`' coefficients written into its slots. `terms`
-/// must have the skeleton's strings in the skeleton's order. Returns nullopt
-/// when a slot's coefficient fails `bound_angle`; otherwise the result
-/// equals phoenix_compile(terms, ...) under the skeleton's options in every
-/// field except the (empty) trace stats. O(terms + gates).
-std::optional<CompileResult> bind_skeleton(const CompiledSkeleton& skeleton,
-                                           const std::vector<PauliTerm>& terms);
+/// The skeleton's image with `terms`' angles written into its slots: one
+/// copy of the image, then 8 little-endian bytes per slot offset. `terms`
+/// must have the skeleton's strings in the skeleton's order. Returns nullopt,
+/// before copying anything, when the term count differs or a slot's
+/// coefficient fails `bound_angle`; otherwise the bytes equal
+/// compile_result_to_bytes(phoenix_compile(terms, ...)) under the skeleton's
+/// options. O(terms + image bytes).
+std::optional<std::string> bind_skeleton(const CompiledSkeleton& skeleton,
+                                         const std::vector<PauliTerm>& terms);
 
 }  // namespace phoenix

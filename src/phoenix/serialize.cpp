@@ -48,24 +48,32 @@ struct Writer {
   }
 };
 
-void write_gate(Writer& w, const Gate& g) {
+/// `param_at`, when given, receives the offset of the param bytes (left
+/// alone when no param travels).
+void write_gate(Writer& w, const Gate& g, std::size_t* param_at = nullptr) {
   const bool param = gate_has_param(g.kind) || bits(g.param) != 0;
   const bool q1 = g.is_two_qubit() || g.q1 != 0;
   w.byte(static_cast<unsigned>(g.kind) | (param ? kParamFollows : 0) |
          (q1 ? kQ1Follows : 0));
   w.varint(g.q0);
   if (q1) w.varint(g.q1);
-  if (param) w.f64(g.param);
+  if (param) {
+    if (param_at != nullptr) *param_at = w.out.size();
+    w.f64(g.param);
+  }
   if (g.kind == GateKind::Su4) {
     w.varint(g.sub.size());
     for (const Gate& s : g.sub) write_gate(w, s);
   }
 }
 
-void write_circuit(Writer& w, const Circuit& c) {
+void write_circuit(Writer& w, const Circuit& c,
+                   std::vector<std::size_t>* offsets) {
   w.varint(c.num_qubits());
   w.varint(c.size());
-  for (const Gate& g : c.gates()) write_gate(w, g);
+  if (offsets != nullptr) offsets->assign(c.size(), ParamOffsets::kNoParam);
+  for (std::size_t i = 0; i < c.size(); ++i)
+    write_gate(w, c.gate(i), offsets != nullptr ? &(*offsets)[i] : nullptr);
 }
 
 void write_layout(Writer& w, const std::vector<std::size_t>& layout) {
@@ -140,7 +148,8 @@ std::size_t gate_bytes(const Gate& g) {
 
 }  // namespace
 
-std::string compile_result_to_bytes(const CompileResult& r) {
+std::string compile_result_to_bytes(const CompileResult& r,
+                                    ParamOffsets* offsets) {
   const bool logical_is_circuit = same_bits(r.logical, r.circuit);
   Writer w;
   // About 3 bytes per gate: kind byte, 1-byte varint qubits, rare params.
@@ -148,9 +157,11 @@ std::string compile_result_to_bytes(const CompileResult& r) {
                           (logical_is_circuit ? 0 : r.logical.size())));
   w.out.append(kMagic, sizeof kMagic);
   w.varint(kCompileResultSchemaVersion);
-  write_circuit(w, r.circuit);
+  if (offsets != nullptr) offsets->logical.clear();
+  write_circuit(w, r.circuit, offsets ? &offsets->circuit : nullptr);
   w.byte(logical_is_circuit ? 0 : 1);
-  if (!logical_is_circuit) write_circuit(w, r.logical);
+  if (!logical_is_circuit)
+    write_circuit(w, r.logical, offsets ? &offsets->logical : nullptr);
   w.varint(r.num_swaps);
   w.varint(r.num_groups);
   w.varint(r.bsf_epochs);

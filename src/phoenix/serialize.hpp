@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "phoenix/compiler.hpp"
 
@@ -49,8 +50,22 @@ namespace phoenix {
 /// carry an empty (disabled) CompileStats.
 inline constexpr int kCompileResultSchemaVersion = 2;
 
-/// Encode `r` (minus `stats`, see above).
-std::string compile_result_to_bytes(const CompileResult& r);
+/// Where the encoder wrote each top-level gate's param: byte offsets into
+/// the returned string of the gate's 8 f64 bytes, one entry per gate in
+/// order, kNoParam for a gate whose param does not travel. `logical` stays
+/// empty when `logical` went out as the one-byte back-reference.
+struct ParamOffsets {
+  static constexpr std::size_t kNoParam = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> circuit;
+  std::vector<std::size_t> logical;
+};
+
+/// Encode `r` (minus `stats`, see above). With `offsets`, also record where
+/// each top-level gate's param landed, as the writer emits it: the bind path
+/// (src/phoenix/bind.hpp) rewrites angles in place at those offsets, which
+/// no reader could recompute from varint widths without decoding.
+std::string compile_result_to_bytes(const CompileResult& r,
+                                    ParamOffsets* offsets = nullptr);
 
 /// Decode a `compile_result_to_bytes` payload. Throws phoenix::Error
 /// (Stage::Parse) on a foreign magic or schema version, truncation, any

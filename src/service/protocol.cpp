@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -302,6 +303,7 @@ CompileRequest compile_request_from_bytes(const std::string& bytes,
   }
 
   req.deadline_ms = r.f64("deadline");
+  if (std::isnan(req.deadline_ms)) r.fail("deadline is NaN");
   const std::uint64_t zz = r.varint("priority");
   const std::int64_t prio =
       static_cast<std::int64_t>(zz >> 1) ^ -static_cast<std::int64_t>(zz & 1);

@@ -111,7 +111,8 @@ DecodeResult decode_frame(const char* data, std::size_t size,
 ///              simplify beam_width
 ///   coupling   varint vertex count (0 = logical compile), varint edge
 ///              count, then each edge as two varint endpoints
-///   deadline   8 IEEE-754 bytes of deadline_ms (kNoDeadline = +inf)
+///   deadline   8 IEEE-754 bytes of deadline_ms (kNoDeadline = +inf; NaN
+///              is rejected)
 ///   priority   zigzag varint
 ///
 /// The encoder is deterministic: equal requests encode to equal bytes, which
@@ -144,8 +145,8 @@ std::string compile_request_to_bytes(const CompileRequest& req, int priority);
 /// bytes left cannot hold; a vertex count above kMaxCouplingVertices; set
 /// bits beyond the register in a row's last byte; an out-of-range option
 /// ordinal or a zero num_starts / beam_width; an edge endpoint out of range,
-/// a self loop or a duplicate edge; a priority outside `int`; or any byte
-/// after the priority. Every count is checked before anything is allocated.
+/// a self loop or a duplicate edge; a NaN deadline; a priority outside
+/// `int`; or any byte after the priority. Every count is checked before anything is allocated.
 /// The returned request owns its coupling graph via `req.coupling`.
 CompileRequest compile_request_from_bytes(const std::string& bytes,
                                           int& priority);

@@ -15,7 +15,6 @@
 
 #include "common/error.hpp"
 #include "common/trace.hpp"
-#include "phoenix/serialize.hpp"
 #include "service/net.hpp"
 
 namespace phoenix {
@@ -74,18 +73,20 @@ struct ServedServer::Impl {
   std::atomic<std::uint64_t> wire_hits{0};
   std::atomic<std::uint64_t> reply_batches{0};
 
-  /// Wire-level reply memo: hash of the raw Submit PAYLOAD bytes -> the
+  /// Wire-level reply memo: digest of the raw Submit PAYLOAD bytes -> the
   /// finished reply (fingerprint + shared serialized Result). A repeated
   /// byte-identical submission is answered without parsing the request,
   /// re-fingerprinting it, or touching the service at all — the dominant
-  /// warm-path CPU on a hot fleet shard. Only successful Results are
-  /// memoized (errors, cancels, and deadline misses always re-enter the
-  /// service), and the memo is disabled when a compile_fn test seam is
-  /// installed so protocol tests observe exact service-level semantics.
-  /// The request_id lives in the frame HEADER, not the payload, so all
-  /// clients share entries regardless of their id sequences; priority and
-  /// deadline are payload bytes, so requests differing there get their own
-  /// entries instead of wrong answers.
+  /// warm-path CPU on a hot fleet shard. Only Results sent from the warm
+  /// path and not bound are memoized: errors, cancels and deadline misses
+  /// always re-enter the service, and so do bound replies, since a VQA loop
+  /// never resends its amplitudes (a repeat is bound again). The memo is
+  /// disabled when a compile_fn test seam is installed so protocol tests
+  /// observe exact service-level semantics. The request_id lives in the
+  /// frame HEADER, not the payload, so all clients share entries regardless
+  /// of their id sequences; priority and deadline are payload bytes, so
+  /// requests differing there get their own entries instead of wrong
+  /// answers.
   struct WireReply {
     std::string fingerprint_hex;
     std::shared_ptr<const std::string> result_bytes;
@@ -93,19 +94,20 @@ struct ServedServer::Impl {
   static constexpr std::size_t kWireMemoMaxEntries = 256;
   static constexpr std::size_t kWireMemoMaxBytes = 64ull << 20;
   std::mutex wire_mu;
-  std::list<std::pair<std::string, WireReply>> wire_lru;
-  std::unordered_map<std::string, decltype(wire_lru)::iterator> wire_map;
+  std::list<std::pair<Digest128, WireReply>> wire_lru;
+  std::unordered_map<Digest128, decltype(wire_lru)::iterator, Digest128Hash>
+      wire_map;
   std::size_t wire_bytes = 0;
 
-  static std::string wire_key(const std::string& payload) {
+  /// The memo key, hashed once per Submit and shared by lookup and store.
+  static Digest128 wire_key(const std::string& payload) {
     Hash128 h(0x7068786d656d6full);  // "phxmemo"
     h.write_string(payload);
-    return h.digest().hex();
+    return h.digest();
   }
 
-  bool wire_lookup(const std::string& payload, WireReply* out) {
+  bool wire_lookup(const Digest128& key, WireReply* out) {
     if (opt.compile_fn) return false;
-    const std::string key = wire_key(payload);
     std::lock_guard<std::mutex> lk(wire_mu);
     const auto it = wire_map.find(key);
     if (it == wire_map.end()) return false;
@@ -114,16 +116,14 @@ struct ServedServer::Impl {
     return true;
   }
 
-  void wire_store(const std::string& payload, std::string fingerprint_hex,
+  void wire_store(const Digest128& key, std::string fingerprint_hex,
                   std::shared_ptr<const std::string> result_bytes) {
     if (opt.compile_fn) return;
-    std::string key = wire_key(payload);
     std::lock_guard<std::mutex> lk(wire_mu);
     if (wire_map.find(key) != wire_map.end()) return;
     wire_bytes += result_bytes->size();
     wire_lru.emplace_front(
-        std::move(key),
-        WireReply{std::move(fingerprint_hex), std::move(result_bytes)});
+        key, WireReply{std::move(fingerprint_hex), std::move(result_bytes)});
     wire_map.emplace(wire_lru.front().first, wire_lru.begin());
     while (wire_lru.size() > kWireMemoMaxEntries ||
            (wire_bytes > kWireMemoMaxBytes && wire_lru.size() > 1)) {
@@ -162,8 +162,9 @@ struct ServedServer::Impl {
   }
 
   /// The one terminal reply for a submission, from the cold path's waiter
-  /// thread and the warm path's reader alike: Result carrying the encoded
-  /// result on success, ErrorReply on failure, cancel or deadline. `bytes`
+  /// thread and the warm path's reader alike: Result carrying
+  /// Ticket::bytes() on success (a bound ticket's bytes as they are, never
+  /// re-encoded), ErrorReply on failure, cancel or deadline. `bytes`
   /// may already hold the warm path's SubmitAck, which then rides the same
   /// write; `batch` is as in emit(). A `tracked` (cold) submission is
   /// retired from the connection first. Returns the Result payload, or
@@ -173,10 +174,8 @@ struct ServedServer::Impl {
       std::string bytes, std::string* batch, bool tracked) {
     std::shared_ptr<const std::string> result;
     try {
-      const CompileService::ResultPtr res = ticket.get();
-      if (res != nullptr) {
-        result =
-            std::make_shared<const std::string>(compile_result_to_bytes(*res));
+      result = ticket.bytes();
+      if (result != nullptr) {
         append_frame(bytes, FrameType::Result, request_id, *result);
       } else {
         append_frame(bytes, FrameType::ErrorReply, request_id,
@@ -222,11 +221,12 @@ struct ServedServer::Impl {
     submits.fetch_add(1, std::memory_order_relaxed);
     trace_count("net.submits", 1);
 
-    // Wire-memo fast path: a byte-identical repeat of a finished compile is
+    // Wire-memo fast path: a byte-identical repeat of a memoized reply is
     // answered from the memo — no parse, no fingerprint, no service — with
     // the ack and Result coalesced into the reply batch.
+    const Digest128 memo_key = wire_key(f.payload);
     WireReply memo;
-    if (wire_lookup(f.payload, &memo)) {
+    if (wire_lookup(memo_key, &memo)) {
       wire_hits.fetch_add(1, std::memory_order_relaxed);
       trace_count("net.wire_hits", 1);
       std::string bytes;
@@ -293,14 +293,18 @@ struct ServedServer::Impl {
     if (ticket.ready()) {
       // Warm path: answer on the reader thread — no waiter spawn, no ticket
       // bookkeeping — with the ack and the terminal frame coalesced into
-      // one write, and successful Results memoized for the wire fast path
-      // above.
+      // one write. The Result is memoized for the wire fast path above
+      // unless it was bound: a bound payload is not sent twice by a VQA
+      // loop, and storing it would only evict replies that are.
+      std::string fingerprint_hex = ticket.fingerprint().hex();
       std::string ack;
       append_frame(ack, FrameType::SubmitAck, f.request_id,
-                   "ack " + ticket.fingerprint().hex() + " 1");
-      if (auto result = send_terminal(*c, f.request_id, ticket,
-                                      std::move(ack), batch, false))
-        wire_store(f.payload, ticket.fingerprint().hex(), std::move(result));
+                   "ack " + fingerprint_hex + " 1");
+      const bool bound = ticket.bound();
+      auto result = send_terminal(*c, f.request_id, std::move(ticket),
+                                  std::move(ack), batch, false);
+      if (result != nullptr && !bound)
+        wire_store(memo_key, std::move(fingerprint_hex), std::move(result));
       return;
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <future>
 #include <list>
@@ -18,6 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "phoenix/bind.hpp"
+#include "phoenix/serialize.hpp"
 #include "service/fingerprint.hpp"
 
 namespace phoenix {
@@ -33,16 +35,18 @@ std::size_t default_pool_workers(std::size_t requested) {
   return std::min<std::size_t>(workers, 15);
 }
 
-/// Absolute wait deadline of a request (`max()` when it carries none).
-/// `deadline_ms <= 0` maps to a deadline already in the past — the wait
-/// fails immediately with DeadlineExceeded rather than being misread as
-/// "no deadline" (the old magic-zero encoding).
-ServiceClock::time_point request_deadline(double deadline_ms) {
-  if (deadline_ms == CompileRequest::kNoDeadline)
-    return ServiceClock::time_point::max();
-  return ServiceClock::now() +
-         std::chrono::duration_cast<ServiceClock::duration>(
-             std::chrono::duration<double, std::milli>(deadline_ms));
+/// A NaN deadline names no moment at all: refuse the request before it is
+/// counted or creates a flight.
+void check_deadline(const CompileRequest& req, const char* caller) {
+  if (std::isnan(req.deadline_ms))
+    throw Error(Stage::Service,
+                std::string(caller) + ": deadline_ms is NaN");
+}
+
+/// A bound result for an in-process caller, decoded from its bytes.
+CompileService::ResultPtr decode_result(const std::string& bytes) {
+  return std::make_shared<const CompileResult>(
+      compile_result_from_bytes(bytes));
 }
 
 /// The options the default compile path hands phoenix_compile: the
@@ -86,8 +90,11 @@ struct Flight {
 
 struct CompileService::Ticket::State {
   Digest128 fp;
-  std::shared_ptr<Flight> flight;  ///< null when served straight from cache
-  ResultPtr ready;                 ///< the cache hit, when flight is null
+  /// Null when served on the submitting thread: from the cache (`ready`) or
+  /// bound (`bound`, the encoded result).
+  std::shared_ptr<Flight> flight;
+  ResultPtr ready;
+  std::shared_ptr<const std::string> bound;
   /// This submission's own wait deadline (max() = none).
   ServiceClock::time_point deadline = ServiceClock::time_point::max();
   std::atomic<bool> cancelled{false};
@@ -167,7 +174,7 @@ struct CompileService::Impl {
     ResultPtr hit;
   };
   static void relax_deadline(Flight& flight, double deadline_ms) {
-    flight.source.extend_deadline(request_deadline(deadline_ms));
+    flight.source.extend_deadline(deadline_after_ms(deadline_ms));
   }
   JoinResult join_or_create(const CompileRequest& req, const Digest128& fp) {
     std::lock_guard<std::mutex> lock(flights_mu);
@@ -246,7 +253,8 @@ struct CompileService::Impl {
 
   /// The bind path's verdict on a request that missed the cache.
   struct BindPlan {
-    ResultPtr bound;  ///< bound on this thread: serve it like a hit
+    /// Bound on this thread, as encoded result bytes: serve it like a hit.
+    std::shared_ptr<const std::string> bound;
     /// The structure's second miss: the flight that compiles this request
     /// builds the skeleton first (build_and_bind).
     std::optional<Digest128> build;
@@ -276,7 +284,7 @@ struct CompileService::Impl {
       if (it->second->skeleton == nullptr) return {nullptr, key};
       skeleton = it->second->skeleton;
     }
-    std::optional<CompileResult> bound = bind_skeleton(*skeleton, req.terms);
+    std::optional<std::string> bound = bind_skeleton(*skeleton, req.terms);
     if (!bound) {
       bind_fallbacks.fetch_add(1, std::memory_order_relaxed);
       trace_count("service.bind_fallbacks", 1);
@@ -284,13 +292,15 @@ struct CompileService::Impl {
     }
     bind_hits.fetch_add(1, std::memory_order_relaxed);
     trace_count("service.bind_hits", 1);
-    return {std::make_shared<const CompileResult>(std::move(*bound)), {}};
+    return {std::make_shared<const std::string>(std::move(*bound)), {}};
   }
 
   /// A structure's second miss, on its flight: probe-compile the skeleton,
   /// publish it (or mark the structure unbindable, never to be probed
-  /// again) and bind this request into it. nullptr when the request still
-  /// needs a compile of its own (unbindable structure or a guard miss).
+  /// again), bind this request into it and decode the bytes for the
+  /// flight's waiters, the one decode a structure's bind path pays. nullptr
+  /// when the request still needs a compile of its own (unbindable
+  /// structure or a guard miss).
   ResultPtr build_and_bind(const Digest128& key, const CompileRequest& req) {
     std::shared_ptr<const CompiledSkeleton> skeleton;
     try {
@@ -314,13 +324,14 @@ struct CompileService::Impl {
       }
     }
     if (skeleton == nullptr) return nullptr;
-    std::optional<CompileResult> bound = bind_skeleton(*skeleton, req.terms);
+    const std::optional<std::string> bound =
+        bind_skeleton(*skeleton, req.terms);
     if (!bound) {
       bind_fallbacks.fetch_add(1, std::memory_order_relaxed);
       trace_count("service.bind_fallbacks", 1);
       return nullptr;
     }
-    return std::make_shared<const CompileResult>(std::move(*bound));
+    return decode_result(*bound);
   }
 
   /// Run the compile this flight owns and publish the result: cache first,
@@ -329,7 +340,7 @@ struct CompileService::Impl {
   /// or, through the re-check in join_or_create / admit_or_join, the entry.
   /// With `build` set the flight builds the structure's skeleton and binds
   /// the request; a bound result is not cached (a VQA loop never repeats
-  /// its amplitudes, and the wire memo answers an exact repeat).
+  /// its amplitudes, and an exact repeat is bound again).
   ResultPtr run_flight(const std::shared_ptr<Flight>& flight,
                        const CompileRequest& req,
                        const std::optional<Digest128>& build) {
@@ -410,14 +421,15 @@ struct CompileService::Impl {
   }
 
   ResultPtr compile_sync(const CompileRequest& req) {
+    check_deadline(req, "CompileService::compile");
     requests.fetch_add(1, std::memory_order_relaxed);
     trace_count("service.requests", 1);
     const Digest128 fp = fingerprint_request(req.terms, req.num_qubits,
                                              req.options, req.coupling_graph());
-    const auto deadline = request_deadline(req.deadline_ms);
+    const auto deadline = deadline_after_ms(req.deadline_ms);
     if (ResultPtr hit = cache.get(fp)) return hit;
     const BindPlan plan = plan_bind(req);
-    if (plan.bound != nullptr) return plan.bound;
+    if (plan.bound != nullptr) return decode_result(*plan.bound);
     for (;;) {
       const JoinResult j = join_or_create(req, fp);
       if (j.hit != nullptr) return j.hit;
@@ -492,6 +504,7 @@ CompileService::ResultPtr CompileService::Ticket::get() {
   if (state_->timed_out.load(std::memory_order_relaxed))
     throw Error(Error::Kind::DeadlineExceeded, Stage::Service,
                 "Ticket::get: deadline exceeded (submission abandoned)");
+  if (state_->bound != nullptr) return decode_result(*state_->bound);
   if (state_->flight == nullptr) return state_->ready;
   if (state_->deadline != ServiceClock::time_point::max() &&
       state_->flight->future.wait_until(state_->deadline) ==
@@ -516,6 +529,17 @@ CompileService::ResultPtr CompileService::Ticket::get() {
                 "Ticket::get: deadline exceeded waiting for compile");
   }
   return state_->flight->future.get();  // rethrows compile errors
+}
+
+std::shared_ptr<const std::string> CompileService::Ticket::bytes() {
+  if (state_ != nullptr && state_->bound != nullptr) return state_->bound;
+  const ResultPtr result = get();
+  if (result == nullptr) return nullptr;
+  return std::make_shared<const std::string>(compile_result_to_bytes(*result));
+}
+
+bool CompileService::Ticket::bound() const {
+  return state_ != nullptr && state_->bound != nullptr;
 }
 
 bool CompileService::Ticket::ready() const {
@@ -563,6 +587,7 @@ const Digest128& CompileService::Ticket::fingerprint() const {
 
 CompileService::Ticket CompileService::submit(CompileRequest req,
                                               int priority) {
+  check_deadline(req, "CompileService::submit");
   impl_->requests.fetch_add(1, std::memory_order_relaxed);
   trace_count("service.requests", 1);
   const Digest128 fp = fingerprint_request(
@@ -571,7 +596,7 @@ CompileService::Ticket CompileService::submit(CompileRequest req,
   Ticket ticket;
   ticket.state_ = std::make_shared<Ticket::State>();
   ticket.state_->fp = fp;
-  ticket.state_->deadline = request_deadline(req.deadline_ms);
+  ticket.state_->deadline = deadline_after_ms(req.deadline_ms);
   ticket.state_->cancelled_counter = &impl_->cancelled;
   ticket.state_->midflight_counter = &impl_->cancelled_midflight;
   ticket.state_->timeouts_counter = &impl_->timeouts;
@@ -582,7 +607,7 @@ CompileService::Ticket CompileService::submit(CompileRequest req,
   }
   const Impl::BindPlan plan = impl_->plan_bind(req);
   if (plan.bound != nullptr) {
-    ticket.state_->ready = plan.bound;
+    ticket.state_->bound = plan.bound;
     return ticket;
   }
 

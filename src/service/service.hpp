@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/graph.hpp"
@@ -32,14 +33,17 @@ struct CompileRequest {
   std::size_t num_qubits = 0;
   PhoenixOptions options;
   std::shared_ptr<const Graph> coupling;  ///< optional owning alternative
-  /// Per-request deadline, milliseconds from submission (kNoDeadline = none;
-  /// <= 0 = already expired, failing the wait immediately). Enforced twice:
-  /// the waiting side (`Ticket::get` / sync `compile`) stops waiting and
-  /// throws Error with kind DeadlineExceeded, and the compile itself carries
-  /// a deadline token so an abandoned compile aborts mid-stage instead of
-  /// burning a worker. A deduped flight runs until its most patient joiner's
-  /// deadline. Cache hits are exempt: a result that is already resident
-  /// costs no wait, so even an expired request is served.
+  /// Per-request deadline, milliseconds from submission, converted by
+  /// deadline_after_ms (common/cancel.hpp): kNoDeadline or anything from
+  /// kMaxDeadlineMs up = none; <= 0 = already expired, failing the wait
+  /// immediately; NaN = refused by `submit` and `compile` with a structured
+  /// Error. Enforced twice: the waiting side (`Ticket::get` / sync
+  /// `compile`) stops waiting and throws Error with kind DeadlineExceeded,
+  /// and the compile itself carries a deadline token so an abandoned
+  /// compile aborts mid-stage instead of burning a worker. A deduped flight
+  /// runs until its most patient joiner's deadline. Cache hits are exempt: a
+  /// result that is already resident costs no wait, so even an expired
+  /// request is served.
   double deadline_ms = kNoDeadline;
   /// Optional caller-held cancellation token, honored inside the compile's
   /// stage loops. The service re-parents it under the flight's own token, so
@@ -113,12 +117,15 @@ struct ServiceStats {
 ///    thread pool;
 ///  * a bind path for VQA loops, which resend one structure with fresh
 ///    coefficients: a structure's second miss builds a skeleton
-///    (src/phoenix/bind.hpp) and later misses bind into it. Bound results
-///    are equal to phoenix_compile of the request and are not cached.
-///    Bindable options only, and only with the default compile function.
+///    (src/phoenix/bind.hpp) and later misses bind into it. A bound result
+///    is the encoded result of phoenix_compile of the request, byte for
+///    byte; it is not cached. Bindable options only, and only with the
+///    default compile function.
 ///
 /// Results are shared immutable snapshots (`shared_ptr<const CompileResult>`)
-/// — a hit hands back the exact object the cold compile produced.
+/// — a hit hands back the exact object the cold compile produced. A bound
+/// request is the exception: it exists as bytes (Ticket::bytes), and an
+/// in-process caller gets a freshly decoded result.
 class CompileService {
  public:
   using ResultPtr = std::shared_ptr<const CompileResult>;
@@ -135,8 +142,9 @@ class CompileService {
   CompileService(const CompileService&) = delete;
   CompileService& operator=(const CompileService&) = delete;
 
-  /// Synchronous cached compile: cache hit, join of an in-flight compile, or
-  /// a cold compile on the calling thread. Compile errors propagate.
+  /// Synchronous cached compile: cache hit, join of an in-flight compile,
+  /// bind (decoded from the bound bytes), or a cold compile on the calling
+  /// thread. Compile errors propagate.
   ResultPtr compile(const CompileRequest& req);
   ResultPtr compile(const std::vector<PauliTerm>& terms,
                     std::size_t num_qubits, const PhoenixOptions& opt = {});
@@ -154,8 +162,17 @@ class CompileService {
     /// the request carried a deadline and it passes while waiting, the wait
     /// is abandoned (throwing Error with kind DeadlineExceeded, now and on
     /// every later call) and, if this was the last interested submission of
-    /// a running flight, the compile itself is cancelled mid-stage.
+    /// a running flight, the compile itself is cancelled mid-stage. A bound
+    /// ticket holds bytes, not a result: each get() decodes them anew, so
+    /// repeated calls return equal but distinct objects.
     ResultPtr get();
+    /// The encoded result (compile_result_to_bytes), as the server sends
+    /// it: a bound ticket's bytes unchanged; otherwise get() (its deadline,
+    /// cancel and error behaviour included, nullptr iff cancelled) encoded.
+    std::shared_ptr<const std::string> bytes();
+    /// True when the request was bound on the submitting thread (the ticket
+    /// holds bytes only).
+    bool bound() const;
     /// True once the shared compile finished (ready, failed, or cancelled).
     bool ready() const;
     /// Cancellation: marks this submission abandoned (its get() returns

@@ -1,10 +1,11 @@
 // Bind-path tests: skeleton construction and decoding (src/phoenix/bind.hpp),
-// the guards that send a coefficient back to a full compile, a seeded corpus
-// of fresh-amplitude binds over the 14 distinct UCCSD programs, a random-
-// Hamiltonian property test, and the compile service's bind path (second-
-// miss build, inline binds, counters, deadlines, order-sensitive keys,
-// concurrency). Every bound result must equal phoenix_compile of the same
-// request, gate for gate with exact parameter bits.
+// the encoder's param offsets the byte bind writes at, the guards that send a
+// coefficient back to a full compile, a seeded corpus of fresh-amplitude
+// binds over the 14 distinct UCCSD programs, a random-Hamiltonian property
+// test, and the compile service's bind path (second-miss build, inline
+// binds, counters, deadlines, order-sensitive keys, concurrency). Every
+// bound result must be the encoded result of phoenix_compile of the same
+// request, byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +23,12 @@
 #include <vector>
 
 #include "common/angles.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "hamlib/uccsd.hpp"
 #include "phoenix/bind.hpp"
+#include "phoenix/serialize.hpp"
 #include "service/service.hpp"
 
 namespace phoenix {
@@ -53,6 +56,18 @@ bool same_result(const CompileResult& a, const CompileResult& b) {
          a.bsf_epochs == b.bsf_epochs && a.num_swaps == b.num_swaps &&
          a.initial_layout == b.initial_layout &&
          a.final_layout == b.final_layout;
+}
+
+/// What a bind must return: the encoded result of the real compile.
+std::string compiled_bytes(const std::vector<PauliTerm>& terms,
+                           std::size_t num_qubits,
+                           const PhoenixOptions& opt = {}) {
+  return compile_result_to_bytes(phoenix_compile(terms, num_qubits, opt));
+}
+
+/// The 8 bytes at `at` of an encoded result, as put_u64 wrote them.
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  return get_u64(reinterpret_cast<const unsigned char*>(bytes.data()) + at);
 }
 
 std::size_t count_kind(const Circuit& c, GateKind kind) {
@@ -139,9 +154,20 @@ TEST(BindSkeleton, EveryNonIdentityTermGetsOneSlot) {
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->num_terms, 4u);
   ASSERT_EQ(s->slots.size(), 3u);
+  // Each slot's offset is where the encoder wrote an Rz's angle.
+  const CompileResult probe = compile_result_from_bytes(s->image);
+  EXPECT_EQ(count_kind(probe.circuit, GateKind::Rz), 3u);
+  ParamOffsets at;
+  EXPECT_EQ(compile_result_to_bytes(probe, &at), s->image);
+  EXPECT_TRUE(at.logical.empty());  // `logical` is the back-reference
   for (const auto& slot : s->slots) {
     EXPECT_NE(slot.term, 1u);  // the identity term emits nothing
-    EXPECT_EQ(s->result.circuit.gate(slot.gate).kind, GateKind::Rz);
+    EXPECT_EQ(slot.logical_at, ParamOffsets::kNoParam);
+    const auto gate = std::find(at.circuit.begin(), at.circuit.end(),
+                                slot.circuit_at);
+    ASSERT_NE(gate, at.circuit.end());
+    EXPECT_EQ(probe.circuit.gate(gate - at.circuit.begin()).kind,
+              GateKind::Rz);
   }
   // An identity term's coefficient is never read, not even a NaN.
   auto fresh = terms;
@@ -149,7 +175,7 @@ TEST(BindSkeleton, EveryNonIdentityTermGetsOneSlot) {
   fresh[1].coeff = std::numeric_limits<double>::quiet_NaN();
   const auto bound = bind_skeleton(*s, fresh);
   ASSERT_TRUE(bound.has_value());
-  EXPECT_TRUE(same_result(*bound, phoenix_compile(fresh, 3)));
+  EXPECT_TRUE(*bound == compiled_bytes(fresh, 3));
 }
 
 // Two rotations about one string sit next to each other and the Own peephole
@@ -167,7 +193,7 @@ TEST(BindSkeleton, MergedRotationsMakeTheStructureUnbindable) {
   const std::vector<PauliTerm> fresh = {{"ZI", -0.8}, {"ZI", 0.15}};
   const auto bound = bind_skeleton(*s, fresh);
   ASSERT_TRUE(bound.has_value());
-  EXPECT_TRUE(same_result(*bound, phoenix_compile(fresh, 2, none)));
+  EXPECT_TRUE(*bound == compiled_bytes(fresh, 2, none));
 }
 
 TEST(BindSkeleton, OnlyBindableOptionsBuildASkeleton) {
@@ -199,6 +225,107 @@ TEST(BindSkeleton, MismatchedTermCountDoesNotBind) {
   const auto s = build_skeleton(terms, 2, {});
   ASSERT_TRUE(s.has_value());
   EXPECT_FALSE(bind_skeleton(*s, {{"XX", 0.3}}).has_value());
+}
+
+// --- param offsets -----------------------------------------------------------
+
+/// Every recorded offset holds its gate's param bits, and every gate whose
+/// param does not travel records kNoParam.
+void expect_offsets_hold_params(const std::string& bytes, const Circuit& c,
+                                const std::vector<std::size_t>& at) {
+  ASSERT_EQ(at.size(), c.size());
+  for (std::size_t k = 0; k < c.size(); ++k) {
+    const Gate& g = c.gate(k);
+    if (!gate_has_param(g.kind) && std::bit_cast<std::uint64_t>(g.param) == 0) {
+      EXPECT_EQ(at[k], ParamOffsets::kNoParam) << "gate " << k;
+      continue;
+    }
+    ASSERT_LE(at[k] + 8, bytes.size()) << "gate " << k;
+    EXPECT_EQ(u64_at(bytes, at[k]), std::bit_cast<std::uint64_t>(g.param))
+        << "gate " << k;
+  }
+}
+
+// Qubits from 128 on take 2-byte varints, so no offset follows from a gate
+// count; the encoder's own record must still land on every angle, and a bind
+// of such a structure must still equal the compile.
+TEST(BindOffsets, WideRegisterOffsetsHoldEveryParam) {
+  constexpr std::size_t n = 130;
+  auto label = [](std::initializer_list<std::pair<std::size_t, char>> ops) {
+    std::string s(n, 'I');
+    for (const auto& [q, p] : ops) s[q] = p;
+    return s;
+  };
+  const std::vector<PauliTerm> terms = {
+      {label({{129, 'Z'}}), 0.3},
+      {label({{128, 'X'}, {129, 'X'}}), -0.7},
+      {label({{1, 'Y'}, {128, 'Z'}}), 0.45},
+      {label({{0, 'Z'}, {127, 'Y'}, {129, 'Z'}}), 1.1}};
+  const CompileResult r = phoenix_compile(terms, n);
+  ParamOffsets at;
+  const std::string bytes = compile_result_to_bytes(r, &at);
+  EXPECT_EQ(bytes, compile_result_to_bytes(r));  // recording changes nothing
+  expect_offsets_hold_params(bytes, r.circuit, at.circuit);
+  EXPECT_TRUE(at.logical.empty());
+  std::size_t wide_rz = 0;
+  for (const Gate& g : r.circuit.gates())
+    if (g.kind == GateKind::Rz && g.q0 >= 128) ++wide_rz;
+  EXPECT_GE(wide_rz, 2u);
+
+  const auto s = build_skeleton(terms, n, {});
+  ASSERT_TRUE(s.has_value());
+  ASSERT_EQ(s->slots.size(), terms.size());
+  auto fresh = terms;
+  for (std::size_t i = 0; i < fresh.size(); ++i)
+    fresh[i].coeff = -0.2 - 0.37 * static_cast<double>(i);
+  const auto bound = bind_skeleton(*s, fresh);
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_TRUE(*bound == compiled_bytes(fresh, n));
+}
+
+// A `logical` that differs from `circuit` is written out in full, and the
+// encoder records its offsets too; nested Su4 sub-gates are not top-level
+// gates and record nothing.
+TEST(BindOffsets, WrittenOutLogicalRecordsBothCircuits) {
+  CompileResult r;
+  r.circuit = Circuit(200);
+  r.circuit.append(Gate::rz(150, 0.25));
+  r.circuit.append(Gate::cnot(3, 190));
+  r.circuit.append(Gate::rz(7, -1.5));
+  r.circuit.append(
+      Gate::su4(2, 199, {Gate::rz(2, 0.5), Gate::cnot(2, 199)}));
+  r.circuit.append(Gate::rz(199, 3.0));
+  r.logical = Circuit(200);
+  r.logical.append(Gate::h(160));
+  r.logical.append(Gate::rz(160, -0.75));
+  r.logical.append(Gate::cnot(160, 4));
+
+  ParamOffsets at;
+  const std::string bytes = compile_result_to_bytes(r, &at);
+  expect_offsets_hold_params(bytes, r.circuit, at.circuit);
+  expect_offsets_hold_params(bytes, r.logical, at.logical);
+  EXPECT_LT(at.circuit.back(), at.logical[1]);
+
+  // Writing at the offsets rewrites those angles and nothing else.
+  std::string patched = bytes;
+  store_u64(patched.data() + at.circuit[4],
+            std::bit_cast<std::uint64_t>(-2.0));
+  store_u64(patched.data() + at.logical[1],
+            std::bit_cast<std::uint64_t>(0.125));
+  CompileResult want = r;
+  want.circuit = Circuit(200);
+  for (std::size_t k = 0; k < r.circuit.size(); ++k) {
+    Gate g = r.circuit.gate(k);
+    if (k == 4) g.param = -2.0;
+    want.circuit.append(g);
+  }
+  want.logical = Circuit(200);
+  for (std::size_t k = 0; k < r.logical.size(); ++k) {
+    Gate g = r.logical.gate(k);
+    if (k == 1) g.param = 0.125;
+    want.logical.append(g);
+  }
+  EXPECT_EQ(patched, compile_result_to_bytes(want));
 }
 
 // --- guards ------------------------------------------------------------------
@@ -291,8 +418,7 @@ TEST_P(BindCorpus, FreshAmplitudesBindBitIdentically) {
     const UccsdBenchmark fresh = p.with_amplitudes(seed);
     const auto bound = bind_skeleton(*s, fresh.terms);
     ASSERT_TRUE(bound.has_value()) << "seed " << seed;
-    EXPECT_TRUE(same_result(*bound,
-                            phoenix_compile(fresh.terms, fresh.num_qubits)))
+    EXPECT_TRUE(*bound == compiled_bytes(fresh.terms, fresh.num_qubits))
         << "seed " << seed;
   }
 }
@@ -368,7 +494,7 @@ TEST(BindProperty, RandomHamiltoniansBindBitIdenticallyOrFallBack) {
         continue;
       }
       ++bound;
-      EXPECT_TRUE(same_result(*b, phoenix_compile(terms, n, opt)))
+      EXPECT_TRUE(*b == compiled_bytes(terms, n, opt))
           << "trial " << trial << " draw " << d;
     }
   }

@@ -19,6 +19,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -156,6 +157,31 @@ TEST(RobustnessCancel, DeadlineExpiryThrowsDeadlineKind) {
   EXPECT_LT(t.remaining_ms(), 0.0);
   EXPECT_EQ(kind_of([&] { t.check(Stage::Peephole); }),
             Error::Kind::DeadlineExceeded);
+}
+
+// One saturating conversion: far futures mean no deadline, far pasts and
+// NaN an expired one, and no value reaches the integer clock out of range.
+TEST(RobustnessCancel, AfterMsSaturatesAndTreatsNanAsExpired) {
+  for (const double ms : {std::numeric_limits<double>::infinity(), 1e300,
+                          kMaxDeadlineMs}) {
+    const CancelToken t = CancelToken::after_ms(ms);
+    EXPECT_FALSE(t.has_deadline()) << ms;
+    EXPECT_FALSE(t.deadline_expired()) << ms;
+    EXPECT_EQ(deadline_after_ms(ms), CancelToken::Clock::time_point::max());
+  }
+  const CancelToken near_max = CancelToken::after_ms(kMaxDeadlineMs / 2);
+  EXPECT_TRUE(near_max.has_deadline());
+  EXPECT_GT(near_max.remaining_ms(), kMaxDeadlineMs / 4);
+  for (const double ms : {-std::numeric_limits<double>::infinity(), -1e300,
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    const CancelToken t = CancelToken::after_ms(ms);
+    EXPECT_TRUE(t.has_deadline()) << ms;
+    EXPECT_TRUE(t.deadline_expired()) << ms;
+    EXPECT_LT(t.remaining_ms(), 0.0) << ms;
+    EXPECT_EQ(kind_of([&] { t.check(Stage::Service); }),
+              Error::Kind::DeadlineExceeded)
+        << ms;
+  }
 }
 
 TEST(RobustnessCancel, PollAmortizesButStillTrips) {

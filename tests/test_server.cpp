@@ -263,6 +263,22 @@ TEST(Protocol, CompileRequestNoDeadlineSentinelSurvivesTheWire) {
   EXPECT_EQ(out.deadline_ms, CompileRequest::kNoDeadline);
 }
 
+// NaN names no deadline at all (neither none nor expired): the decoder
+// refuses it instead of handing the service an unordered value.
+TEST(Protocol, CompileRequestRejectsANanDeadline) {
+  CompileRequest req = tiny_request();
+  req.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  const std::string payload = compile_request_to_bytes(req, 0);
+  int priority = 0;
+  try {
+    compile_request_from_bytes(payload, priority);
+    ADD_FAILURE() << "a NaN deadline decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.stage(), Stage::Parse);
+    EXPECT_NE(e.detail().find("NaN"), std::string::npos) << e.detail();
+  }
+}
+
 TEST(Protocol, CompileRequestCouplingGraphTravelsAsEdgeList) {
   CompileRequest req = tiny_request();
   auto g = std::make_shared<Graph>(4);
@@ -886,6 +902,46 @@ TEST(Server, BoundReplyBytesEqualAFreshCompile) {
   server.stop();
 }
 
+// Only cache hits enter the wire memo: a verbatim repeat of a bound payload
+// is bound again, while a repeat of a hit is still answered by the memo.
+TEST(Server, BoundRepeatIsBoundAgainHitRepeatComesFromTheMemo) {
+  ServedServer server(tcp_options());
+  server.start();
+  PooledClient client = serial_client(tcp_endpoint(server));
+  auto stats = [&] {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : client.server_stats()) out[name] = value;
+    return out;
+  };
+  client.submit_async(tiny_request(0.5)).get();   // compiles and caches
+  client.submit_async(tiny_request(1.25)).get();  // builds the skeleton
+
+  const CompileRequest req = tiny_request(-2.75);
+  const std::string want =
+      compile_result_to_bytes(phoenix_compile(req.terms, req.num_qubits));
+  EXPECT_EQ(client.submit_async(req).get(), want);
+  EXPECT_EQ(stats()["service.bind_hits"], 1u);
+  PooledClient::Handle repeat = client.submit_async(req);
+  EXPECT_TRUE(repeat.ack().hit);
+  EXPECT_EQ(repeat.get(), want);
+  std::map<std::string, std::uint64_t> s = stats();
+  EXPECT_EQ(s["service.bind_hits"], 2u);
+  EXPECT_EQ(s["net.wire_hits"], 0u);
+
+  // A repeat of the cached compile is a service hit (or, when the compile
+  // finished before its reply was sent, already memoized); either way its
+  // reply is in the memo now, and the next repeat never reaches the service.
+  const std::string cached = client.submit_async(tiny_request(0.5)).get();
+  const std::map<std::string, std::uint64_t> before = stats();
+  EXPECT_EQ(before.at("service.hits") + before.at("net.wire_hits"), 1u);
+  EXPECT_EQ(client.submit_async(tiny_request(0.5)).get(), cached);
+  s = stats();
+  EXPECT_EQ(s["net.wire_hits"], before.at("net.wire_hits") + 1);
+  EXPECT_EQ(s["service.requests"], before.at("service.requests"));
+  EXPECT_EQ(s["service.bind_hits"], 2u);
+  server.stop();
+}
+
 TEST(Server, StartStopLoopIsRaceFree) {
   // stop() with both listeners up and a live connection, again and again:
   // the acceptors still read the listener descriptors until they are
@@ -979,6 +1035,41 @@ TEST(ServerWire, CorruptSubmitPayloadKeepsTheConnectionUsable) {
   EXPECT_EQ(result.request_id, 78u);
   EXPECT_FALSE(result.payload.empty());
   EXPECT_GE(server.stats().frame_errors, 1u);
+  server.stop();
+}
+
+// A deadline too far off for the clock means none; a NaN one is a Parse
+// error that costs only its own request.
+TEST(ServerWire, HugeDeadlineGetsItsResultNanDeadlineAParseError) {
+  ServedServer server(tcp_options());
+  server.start();
+  RawConn conn(server);
+
+  CompileRequest far = tiny_request();
+  far.deadline_ms = 1e300;
+  conn.send(FrameType::Submit, 1, compile_request_to_bytes(far, 0));
+  EXPECT_EQ(conn.read_frame().type, FrameType::SubmitAck);
+  const Frame result = conn.read_frame();
+  ASSERT_EQ(result.type, FrameType::Result);
+  EXPECT_EQ(result.payload, compile_result_to_bytes(phoenix_compile(
+                                far.terms, far.num_qubits)));
+
+  CompileRequest nan = tiny_request(0.75);
+  nan.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  conn.send(FrameType::Submit, 2, compile_request_to_bytes(nan, 0));
+  const Frame reply = conn.read_frame();
+  EXPECT_EQ(reply.type, FrameType::ErrorReply);
+  EXPECT_EQ(reply.request_id, 2u);
+  EXPECT_EQ(error_from_payload(reply.payload).stage(), Stage::Parse);
+
+  // The connection carries on.
+  nan.deadline_ms = CompileRequest::kNoDeadline;
+  conn.send(FrameType::Submit, 3, compile_request_to_bytes(nan, 0));
+  EXPECT_EQ(conn.read_frame().type, FrameType::SubmitAck);
+  const Frame next = conn.read_frame();
+  EXPECT_EQ(next.type, FrameType::Result);
+  EXPECT_EQ(next.request_id, 3u);
+  EXPECT_EQ(server.stats().frame_errors, 1u);
   server.stop();
 }
 

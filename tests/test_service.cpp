@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "hamlib/io.hpp"
@@ -1186,6 +1188,83 @@ TEST(Service, DiskCacheWarmStartAcrossServiceInstances) {
   const auto s = second.stats();
   EXPECT_EQ(s.misses, 0u);  // no compile ran in the second service
   EXPECT_EQ(s.disk_hits, 1u);
+}
+
+// --- deadlines at the edges of the double range -----------------------------
+
+/// A cold request: `c0` gives it a fresh fingerprint, and peephole O3 keeps
+/// it off the bind path, so each one runs a flight with its own deadline.
+CompileRequest cold_small(double c0, double deadline_ms) {
+  CompileRequest req;
+  req.terms = small_terms();
+  req.terms[0].coeff = c0;
+  req.num_qubits = 4;
+  req.options.peephole = PeepholeLevel::O3;
+  req.deadline_ms = deadline_ms;
+  return req;
+}
+
+/// The Error `f` throws (Failed/Parse when it throws none, after a failure).
+Error error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected a phoenix::Error";
+  return Error(Stage::Parse, "no error");
+}
+
+TEST(ServiceDeadline, BeyondTheClockMeansNoDeadline) {
+  CompileService svc;
+  double c0 = 0.3;
+  for (const double ms : {1e300, std::numeric_limits<double>::max(),
+                          kMaxDeadlineMs}) {
+    const CompileRequest a = cold_small(c0 += 0.1, ms);
+    const auto sync = svc.compile(a);
+    ASSERT_NE(sync, nullptr) << ms;
+    expect_circuits_identical(
+        sync->circuit, phoenix_compile(a.terms, 4, a.options).circuit);
+    EXPECT_NE(svc.submit(cold_small(c0 += 0.1, ms)).get(), nullptr) << ms;
+  }
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.misses, 6u);
+  EXPECT_EQ(s.timeouts, 0u);
+}
+
+TEST(ServiceDeadline, NegativeInfinityAndHugeNegativeAreExpired) {
+  CompileService svc;
+  double c0 = 0.3;
+  for (const double ms : {-std::numeric_limits<double>::infinity(), -1e300,
+                          -kMaxDeadlineMs}) {
+    EXPECT_EQ(error_of([&] { svc.compile(cold_small(c0 += 0.1, ms)); }).kind(),
+              Error::Kind::DeadlineExceeded)
+        << ms;
+    CompileService::Ticket t = svc.submit(cold_small(c0 += 0.1, ms));
+    EXPECT_EQ(error_of([&] { t.get(); }).kind(), Error::Kind::DeadlineExceeded)
+        << ms;
+  }
+}
+
+// NaN names no moment, so it is neither "none" nor "expired": the request is
+// refused before it is counted, looked up or given a flight.
+TEST(ServiceDeadline, NanIsRefusedBeforeAnyFlight) {
+  CompileService svc;
+  svc.compile(cold_small(0.3, CompileRequest::kNoDeadline));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double c0 : {0.3, 0.4}) {  // resident, then cold
+    const Error sync = error_of([&] { svc.compile(cold_small(c0, nan)); });
+    EXPECT_EQ(sync.kind(), Error::Kind::Failed);
+    EXPECT_EQ(sync.stage(), Stage::Service);
+    const Error async = error_of([&] { svc.submit(cold_small(c0, nan)); });
+    EXPECT_EQ(async.kind(), Error::Kind::Failed);
+    EXPECT_EQ(async.stage(), Stage::Service);
+  }
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.requests, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.inflight_joins, 0u);
 }
 
 // --- thread-pool edges exposed by concurrent service use --------------------
