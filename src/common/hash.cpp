@@ -1,6 +1,7 @@
 #include "common/hash.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 namespace phoenix {
@@ -8,6 +9,7 @@ namespace phoenix {
 namespace {
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+constexpr std::uint64_t kCanonicalNan = 0x7ff8000000000000ull;
 
 /// SplitMix64 finalizer — full avalanche on one 64-bit word.
 std::uint64_t mix64(std::uint64_t x) {
@@ -58,7 +60,7 @@ void Hash128::write_u64(std::uint64_t v) {
 }
 
 void Hash128::write_double(double v) {
-  write_u64(std::bit_cast<std::uint64_t>(v));
+  write_u64(std::isnan(v) ? kCanonicalNan : std::bit_cast<std::uint64_t>(v));
 }
 
 void Hash128::write_bytes(const void* data, std::size_t len) {

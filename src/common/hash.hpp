@@ -47,7 +47,9 @@ class Hash128 {
   void write_size(std::size_t v) { write_u64(static_cast<std::uint64_t>(v)); }
   void write_bool(bool v) { write_u64(v ? 1 : 0); }
   /// IEEE-754 bit pattern; distinguishes +0.0 from -0.0 by design (an
-  /// exactly-zero coefficient should have been dropped upstream).
+  /// exactly-zero coefficient should have been dropped upstream). Every NaN
+  /// hashes as the quiet NaN 0x7ff8000000000000: which payload survives NaN
+  /// arithmetic depends on operand order, which the optimizer may change.
   void write_double(double v);
   /// Length-prefixed, so consecutive buffers cannot alias each other.
   void write_bytes(const void* data, std::size_t len);

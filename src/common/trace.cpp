@@ -12,11 +12,6 @@
 
 namespace phoenix {
 
-#ifndef PHOENIX_DISABLE_TRACE
-thread_local Trace* Trace::tl_current_ = nullptr;
-#endif
-thread_local std::size_t TraceSpan::tl_depth_ = 0;
-
 Trace::Scope::Scope(Trace* t) noexcept {
 #ifdef PHOENIX_DISABLE_TRACE
   (void)t;

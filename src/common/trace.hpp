@@ -133,7 +133,11 @@ class Trace {
 
  private:
 #ifndef PHOENIX_DISABLE_TRACE
-  static thread_local Trace* tl_current_;
+  // Defined inline, with its initializer, so every translation unit sees a
+  // constant-initialized thread_local: an out-of-line definition makes
+  // callers in other units go through a TLS wrapper that UBSan flags as a
+  // null load at -O2.
+  static inline thread_local Trace* tl_current_ = nullptr;
 #endif
 
   /// Dense per-trace track id for the calling thread. Caller holds mu_.
@@ -148,11 +152,13 @@ class Trace {
 };
 
 /// RAII stage span: records [construction, destruction) on the current
-/// thread's trace. A disabled trace makes both ends branch-only no-ops.
+/// thread's trace, and also observes its duration into `histogram` when one
+/// is named. A disabled trace makes both ends branch-only no-ops.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) noexcept
-      : trace_(Trace::current()), name_(name) {
+  explicit TraceSpan(const char* name,
+                     const char* histogram = nullptr) noexcept
+      : trace_(Trace::current()), name_(name), histogram_(histogram) {
     if (trace_ == nullptr) return;
     start_ms_ = trace_->millis_since_epoch();
     depth_ = tl_depth_++;
@@ -160,16 +166,18 @@ class TraceSpan {
   ~TraceSpan() {
     if (trace_ == nullptr) return;
     --tl_depth_;
-    trace_->record_span(name_, start_ms_,
-                        trace_->millis_since_epoch() - start_ms_, depth_);
+    const double millis = trace_->millis_since_epoch() - start_ms_;
+    trace_->record_span(name_, start_ms_, millis, depth_);
+    if (histogram_ != nullptr) trace_->observe_ms(histogram_, millis);
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  static thread_local std::size_t tl_depth_;
+  static inline thread_local std::size_t tl_depth_ = 0;
   Trace* trace_;
   const char* name_;
+  const char* histogram_;
   double start_ms_ = 0.0;
   std::size_t depth_ = 0;
 };

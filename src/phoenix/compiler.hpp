@@ -59,12 +59,13 @@ struct PhoenixOptions {
   /// probe is then an inlined branch with no clock reads or allocation, and
   /// compiled circuits are bit-identical with tracing on or off.
   bool trace = false;
-  /// Cooperative cancellation/deadline token, polled inside every
-  /// long-running stage loop (simplify descent, ordering, routing, peephole
-  /// worklists). A tripped token makes the compile throw phoenix::Error with
-  /// kind Cancelled or DeadlineExceeded within milliseconds; the default
-  /// (empty) token is a single null-pointer test per poll. Copied into
-  /// SimplifyOptions / SabreOptions when those don't carry their own token.
+  /// Cooperative cancellation/deadline token, polled before every stage and
+  /// inside every long-running stage loop (simplify descent, ordering,
+  /// routing, peephole worklists). A tripped token makes the compile throw
+  /// phoenix::Error with kind Cancelled or DeadlineExceeded within
+  /// milliseconds; the default (empty) token is a single null-pointer test
+  /// per poll. Copied into SimplifyOptions / SabreOptions when those don't
+  /// carry their own token.
   /// Like `num_threads` and `trace`, excluded from cache fingerprints:
   /// tokens never change the compiled circuit, only whether it completes.
   CancelToken cancel;
@@ -76,12 +77,13 @@ struct PhoenixOptions {
   ValidationOptions validation{ValidationLevel::Off};
 };
 
-/// Diagnostics for one pipeline stage: wall-clock cost and, when validation
-/// is on, whether invariant checks ran there (checks that fail throw, so
-/// records in a returned CompileResult always describe passing stages).
+/// Diagnostics for one pipeline stage, recorded when validation is on:
+/// whether a check ran there (checks that fail throw, so records in a
+/// returned CompileResult always describe passing stages) and the stage's
+/// note. Records carry no timings, so they are part of the deterministic
+/// artifact; per-stage times come from the `opt.trace` spans.
 struct StageRecord {
   std::string name;
-  double millis = 0.0;
   bool checked = false;  ///< paranoid invariant / validation ran here
   std::string note;      ///< stage-specific context (counts, verdicts)
 };
@@ -100,7 +102,8 @@ struct CompileResult {
   /// (from SABRE or the QAOA router). Empty for logical-level compilation.
   std::vector<std::size_t> initial_layout;
   std::vector<std::size_t> final_layout;
-  /// Per-stage timings and check outcomes (populated when validation != Off).
+  /// Per-stage check outcomes and notes, in stage order (populated when
+  /// validation != Off).
   std::vector<StageRecord> diagnostics;
   /// Stage spans, counters, and histograms (populated when `opt.trace`);
   /// export with TraceExport::table / TraceExport::chrome_json.

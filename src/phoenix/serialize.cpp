@@ -25,7 +25,7 @@ constexpr unsigned kFrameChecked = 1, kFrameOk = 2, kExactChecked = 4;
 
 // Fewest bytes one element can take, for bounding counts by the input left.
 constexpr std::size_t kMinGateBytes = 2;        // kind byte + varint q0
-constexpr std::size_t kMinDiagnosticBytes = 11;  // name, millis, checked, note
+constexpr std::size_t kMinDiagnosticBytes = 3;   // name, checked, note
 constexpr std::size_t kMinTermBytes = 9;         // label, coeff
 
 [[noreturn]] void fail(const std::string& detail) {
@@ -170,7 +170,6 @@ std::string compile_result_to_bytes(const CompileResult& r,
   w.varint(r.diagnostics.size());
   for (const StageRecord& d : r.diagnostics) {
     w.str(d.name);
-    w.f64(d.millis);
     w.byte(d.checked ? 1 : 0);
     w.str(d.note);
   }
@@ -218,7 +217,6 @@ CompileResult compile_result_from_bytes(const std::string& bytes) {
   for (std::size_t i = 0; i < ndiag; ++i) {
     StageRecord rec;
     rec.name = r.str("diagnostic name");
-    rec.millis = r.f64("diagnostic millis");
     rec.checked = r.boolean("diagnostic checked");
     rec.note = r.str("diagnostic note");
     res.diagnostics.push_back(std::move(rec));

@@ -21,8 +21,8 @@ namespace phoenix {
 ///                     byte 1 followed by a circuit
 ///   counts            varint num_swaps, num_groups, bsf_epochs
 ///   layouts           initial then final: varint size, varint entries
-///   diagnostics       varint count; each: string name, f64 millis,
-///                     byte checked, string note
+///   diagnostics       varint count; each: string name, byte checked,
+///                     string note
 ///   validation        byte status, byte flags (frame_checked = 1,
 ///                     frame_ok = 2, exact_checked = 4), f64
 ///                     exact_infidelity, string message, varint count;
@@ -44,11 +44,14 @@ namespace phoenix {
 /// carries its own schema version for the same reason — see
 /// src/service/fingerprint.hpp).
 ///
-/// Scope: the semantic artifacts listed above. The trace `stats` member is
-/// deliberately NOT serialized: it describes one concrete run's timings and
-/// thread interleavings, not the compile artifact; deserialized results
-/// carry an empty (disabled) CompileStats.
-inline constexpr int kCompileResultSchemaVersion = 2;
+/// Scope: the semantic artifacts listed above, none of which holds a
+/// timing, so two compiles of one request encode to the same bytes. The
+/// trace `stats` member is deliberately NOT serialized: it describes one
+/// concrete run's timings and thread interleavings, not the compile
+/// artifact; deserialized results carry an empty (disabled) CompileStats.
+///
+/// Version 3 dropped the f64 wall-clock millis from each diagnostics record.
+inline constexpr int kCompileResultSchemaVersion = 3;
 
 /// Where the encoder wrote each top-level gate's param: byte offsets into
 /// the returned string of the gate's 8 f64 bytes, one entry per gate in

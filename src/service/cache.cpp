@@ -240,12 +240,6 @@ struct CompileCache::Impl {
     return opt.disk_dir + "/" + hex.substr(0, 2) + "/" + hex + ".phxc";
   }
 
-  /// Pre-sharding flat location, still consulted on read so a cache dir
-  /// written by an older build stays warm after an upgrade.
-  std::string legacy_disk_path(const Digest128& key) const {
-    return opt.disk_dir + "/" + key.hex() + ".phxc";
-  }
-
   /// Insert into the shard (caller does NOT hold the shard lock) and trim to
   /// the byte budget. Refreshing an existing key replaces its value.
   void insert(const Digest128& key, ResultPtr value) {
@@ -300,12 +294,7 @@ struct CompileCache::Impl {
 
   ResultPtr lookup_disk(const Digest128& key) {
     if (opt.disk_dir.empty()) return nullptr;
-    if (ResultPtr hit = lookup_disk_at(disk_path(key))) return hit;
-    // Entries persisted before the sharded layout live flat in disk_dir.
-    return lookup_disk_at(legacy_disk_path(key));
-  }
-
-  ResultPtr lookup_disk_at(const std::string& path) {
+    const std::string path = disk_path(key);
     std::string blob;
     bool read_ok = false;
     for (std::size_t attempt = 0; attempt <= opt.disk_retry_limit; ++attempt) {

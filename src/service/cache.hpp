@@ -34,17 +34,16 @@ struct CacheOptions {
   /// rename() is atomic), and writer temp files are stamped
   /// `<name>.<pid>-<nonce>.tmp` so concurrent daemons never collide on a
   /// temp name — two daemons racing the same fingerprint both publish
-  /// bit-identical bytes, so whichever rename lands last is equivalent.
-  /// Misses consult the directory and promote parses into memory; stale
-  /// schema versions (including the text entries of older builds), torn
-  /// writes, and checksum mismatches count as
-  /// `disk_rejects`, move the damaged file to `<name>.quarantine`, and fall
-  /// through to a normal miss (the entry is recompiled and rewritten).
-  /// Entries persisted by older builds into the flat (unsharded) layout are
-  /// still found on read. Orphaned `*.tmp` litter from crashed writers is
-  /// swept at construction — but only when the stamped writer PID is dead
-  /// or the file's mtime exceeds `sweep_grace_seconds`, so the sweep never
-  /// races a live writer in another process mid-write.
+  /// bit-identical bytes (a result holds no timings, validated or not), so
+  /// whichever rename lands last is equivalent. Misses consult the
+  /// directory and promote parses into memory; stale schema versions
+  /// (including the text entries of older builds), torn writes, and
+  /// checksum mismatches count as `disk_rejects`, move the damaged file to
+  /// `<name>.quarantine`, and fall through to a normal miss (the entry is
+  /// recompiled and rewritten). Orphaned `*.tmp` litter from crashed
+  /// writers is swept at construction — but only when the stamped writer
+  /// PID is dead or the file's mtime exceeds `sweep_grace_seconds`, so the
+  /// sweep never races a live writer in another process mid-write.
   std::string disk_dir;
   /// Grace window for the startup tmp sweep: a temp file whose owning
   /// process cannot be shown dead (alive, unsignalable, or an unstamped

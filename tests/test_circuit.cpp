@@ -8,7 +8,6 @@
 #include "circuit/qasm.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "mapping/bridge.hpp"
 #include "sim/matrix.hpp"
 #include "sim/statevector.hpp"
 
@@ -226,22 +225,6 @@ TEST(Qasm, RejectsMalformedInput) {
   EXPECT_THROW(circuit_from_qasm("qreg q[2];\nh q[0]\n"), std::runtime_error);
   EXPECT_THROW(circuit_from_qasm("qreg q[2];\nrz q[0];\n"),
                std::runtime_error);
-}
-
-TEST(Bridge, ImplementsDistanceTwoCnotExactly) {
-  Circuit bridge(3);
-  append_bridge_cnot(bridge, 0, 1, 2);
-  Circuit direct(3);
-  direct.append(Gate::cnot(0, 2));
-  EXPECT_TRUE(circuit_unitary(bridge).approx_equal(circuit_unitary(direct),
-                                                   1e-12));
-  EXPECT_EQ(bridge.count(GateKind::Cnot), 4u);
-}
-
-TEST(Bridge, RejectsRepeatedQubits) {
-  Circuit c(3);
-  EXPECT_THROW(append_bridge_cnot(c, 0, 0, 2), std::invalid_argument);
-  EXPECT_THROW(append_bridge_cnot(c, 0, 2, 2), std::invalid_argument);
 }
 
 }  // namespace

@@ -378,8 +378,10 @@ TEST(RobustnessDisk, FooterlessLegacyFileIsRejected) {
   const TempDir dir("legacy");
   const Digest128 k = cache_key(small_terms(), 4);
   // A pre-checksum-era entry: valid payload, no footer.
-  write_file(dir.str() + "/" + k.hex() + ".phxc",
-             compile_result_to_bytes(phoenix_compile(small_terms(), 4)));
+  const std::string path = entry_path(dir, k);
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path());
+  write_file(path, compile_result_to_bytes(phoenix_compile(small_terms(), 4)));
   CacheOptions opt;
   opt.disk_dir = dir.str();
   CompileCache reader(opt);

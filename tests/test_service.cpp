@@ -467,6 +467,32 @@ TEST(Fingerprint, IndexSortMatchesTheCopyingReference) {
   EXPECT_GT(zero_sums, 500u);
 }
 
+// Which NaN payload survives NaN + NaN depends on operand order, which the
+// optimizer may swap, so every NaN must digest alike: in Hash128 and in a
+// request whose duplicate strings sum to NaN.
+TEST(Fingerprint, NanPayloadsHashAlike) {
+  const double a = std::bit_cast<double>(0x7ff8000000c0ffeeull);
+  const double b = std::bit_cast<double>(0xfff0000000000001ull);  // -sNaN
+  const auto digest_of = [](double v) {
+    Hash128 h;
+    h.write_double(v);
+    return h.digest();
+  };
+  EXPECT_EQ(digest_of(a), digest_of(b));
+  EXPECT_EQ(digest_of(a),
+            digest_of(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_NE(digest_of(0.0), digest_of(-0.0));
+
+  const PhoenixOptions opt;
+  const std::vector<PauliTerm> ab = {PauliTerm("XZ", a), PauliTerm("XZ", b)};
+  const std::vector<PauliTerm> ba = {PauliTerm("XZ", b), PauliTerm("XZ", a)};
+  EXPECT_EQ(fingerprint_request(ab, 2, opt), fingerprint_request(ba, 2, opt));
+  EXPECT_EQ(fingerprint_request(ab, 2, opt),
+            fingerprint_request(
+                {PauliTerm("XZ", std::numeric_limits<double>::quiet_NaN())}, 2,
+                opt));
+}
+
 // --- serialization ----------------------------------------------------------
 
 void expect_results_identical(const CompileResult& a, const CompileResult& b) {
@@ -480,8 +506,6 @@ void expect_results_identical(const CompileResult& a, const CompileResult& b) {
   ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
   for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
     EXPECT_EQ(a.diagnostics[i].name, b.diagnostics[i].name);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.diagnostics[i].millis),
-              std::bit_cast<std::uint64_t>(b.diagnostics[i].millis));
     EXPECT_EQ(a.diagnostics[i].checked, b.diagnostics[i].checked);
     EXPECT_EQ(a.diagnostics[i].note, b.diagnostics[i].note);
   }
