@@ -22,7 +22,6 @@
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/trace.hpp"
 #include "phoenix/serialize.hpp"
 
 namespace phoenix {
@@ -268,7 +267,6 @@ struct CompileCache::Impl {
       s.lru.pop_back();
       entries.fetch_sub(1, std::memory_order_relaxed);
       evictions.fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.cache.evictions", 1);
     }
   }
 
@@ -289,7 +287,6 @@ struct CompileCache::Impl {
     fs::rename(path, path + ".quarantine", ec);
     if (ec) fs::remove(path, ec);  // worst case: just get it out of the way
     disk_rejects.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.cache.disk_rejects", 1);
   }
 
   ResultPtr lookup_disk(const Digest128& key) {
@@ -300,7 +297,6 @@ struct CompileCache::Impl {
     for (std::size_t attempt = 0; attempt <= opt.disk_retry_limit; ++attempt) {
       if (attempt > 0) {
         disk_retries.fetch_add(1, std::memory_order_relaxed);
-        trace_count("service.cache.disk_retries", 1);
         backoff_sleep(opt.disk_retry_backoff_ms);
       }
       if (fault::triggered("disk.read")) continue;  // injected transient error
@@ -342,7 +338,6 @@ struct CompileCache::Impl {
     for (std::size_t attempt = 0; attempt <= opt.disk_retry_limit; ++attempt) {
       if (attempt > 0) {
         disk_retries.fetch_add(1, std::memory_order_relaxed);
-        trace_count("service.cache.disk_retries", 1);
         backoff_sleep(opt.disk_retry_backoff_ms);
       }
       std::error_code ec;
@@ -363,7 +358,6 @@ struct CompileCache::Impl {
     // Persistence is best-effort: the in-memory entry stands, but make the
     // abandonment observable instead of silently dropping it.
     disk_write_failures.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.cache.disk_write_failures", 1);
   }
 };
 
@@ -374,10 +368,7 @@ CompileCache::~CompileCache() = default;
 
 CompileCache::ResultPtr CompileCache::get_resident(const Digest128& key) {
   ResultPtr hit = impl_->lookup_memory(key);
-  if (hit != nullptr) {
-    impl_->hits.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.cache.hits", 1);
-  }
+  if (hit != nullptr) impl_->hits.fetch_add(1, std::memory_order_relaxed);
   return hit;
 }
 
@@ -385,12 +376,10 @@ CompileCache::ResultPtr CompileCache::get(const Digest128& key) {
   if (ResultPtr hit = get_resident(key)) return hit;
   if (ResultPtr disk = impl_->lookup_disk(key)) {
     impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.cache.disk_hits", 1);
     impl_->insert(key, disk);
     return disk;
   }
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  trace_count("service.cache.misses", 1);
   return nullptr;
 }
 

@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
-#include "common/trace.hpp"
 #include "service/net.hpp"
 
 namespace phoenix {
@@ -314,7 +313,6 @@ struct PooledClient::Impl {
       // Only a connection that stranded in-flight work counts as an I/O
       // error; a clean idle close (pool teardown) does not.
       io_errors.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.pool.io_errors", 1);
     }
     for (auto& [id, p] : pending) fail_pending(*p, lost);
     for (auto& [id, w] : sync) {
@@ -342,7 +340,6 @@ struct PooledClient::Impl {
                              : net::connect_tcp(ep.host, ep.port);
     fresh->reader = std::thread([this, fresh] { reader_loop(fresh); });
     conns_opened.fetch_add(1, std::memory_order_relaxed);
-    trace_count("net.pool.conns_opened", 1);
     c = fresh;
     return fresh;
   }
@@ -386,11 +383,9 @@ struct PooledClient::Impl {
           throw;
         }
         submits.fetch_add(bodies.size(), std::memory_order_relaxed);
-        trace_count("net.pool.submits", bodies.size());
         if (bodies.size() > 1) {
           burst_writes.fetch_add(1, std::memory_order_relaxed);
           burst_frames.fetch_add(bodies.size(), std::memory_order_relaxed);
-          trace_count("net.pool.burst_writes", 1);
         }
         std::vector<Handle> out;
         out.reserve(ps.size());
@@ -399,7 +394,6 @@ struct PooledClient::Impl {
       } catch (const Error& e) {
         if (e.stage() != Stage::Io || attempt >= opt.retry.limit) throw;
         connect_retries.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.pool.connect_retries", 1);
         backoff_sleep(opt.retry.backoff_ms);
       }
     }

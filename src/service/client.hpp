@@ -42,8 +42,7 @@ struct RetryOptions {
 };
 
 /// Client-side monotonic counters, the `ServiceStats` sibling for the
-/// transport layer. Mirrored onto any installed Trace as `net.pool.*`
-/// counters by PooledClient; `retries` is filled in by ShardedClient.
+/// transport layer; `retries` is filled in by ShardedClient.
 struct ClientStats {
   std::uint64_t submits = 0;         ///< Submit frames sent
   std::uint64_t results = 0;         ///< Result payloads received

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/trace.hpp"
 #include "service/fingerprint.hpp"
 
 namespace phoenix {
@@ -158,7 +157,6 @@ struct ShardedClient::Impl {
       if (router.healthy(i)) return i;
       if (probe_eligible(i)) {
         probes.fetch_add(1, std::memory_order_relaxed);
-        trace_count("router.probes", 1);
         return i;
       }
     }
@@ -181,18 +179,13 @@ struct ShardedClient::Impl {
         if (!router.healthy(i) && pass == 0) {
           if (!probe_eligible(i)) continue;
           probes.fetch_add(1, std::memory_order_relaxed);
-          trace_count("router.probes", 1);
         }
         attempted = true;
         try {
           PooledClient::Handle h = pool(i).submit_payload(*req.payload);
           if (!router.healthy(i)) router.set_healthy(i, true);
           routed.fetch_add(1, std::memory_order_relaxed);
-          trace_count("router.routed", 1);
-          if (k != 0) {
-            reroutes.fetch_add(1, std::memory_order_relaxed);
-            trace_count("router.reroutes", 1);
-          }
+          if (k != 0) reroutes.fetch_add(1, std::memory_order_relaxed);
           *ep_out = i;
           return h;
         } catch (const Error& e) {
@@ -241,7 +234,6 @@ struct RoutedSub {
         inner = PooledClient::Handle();
         if (attempts > owner->opt.retry.limit) throw;
         owner->retries.fetch_add(1, std::memory_order_relaxed);
-        trace_count("router.retries", 1);
         backoff_sleep(owner->opt.retry.backoff_ms);
       }
     }
@@ -343,7 +335,6 @@ std::vector<ShardedClient::Handle> ShardedClient::submit_burst(
         r.attempts = 1;
       }
       impl_->routed.fetch_add(group.size(), std::memory_order_relaxed);
-      trace_count("router.routed", group.size());
     } catch (const Error& e) {
       if (e.stage() != Stage::Io) throw;
       impl_->mark_down(i);

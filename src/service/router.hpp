@@ -18,7 +18,7 @@ namespace detail {
 struct RoutedSub;
 }  // namespace detail
 
-/// Fleet-routing counters (`router.*` trace siblings). All monotonic.
+/// Fleet-routing counters. All monotonic.
 struct RouterStats {
   std::uint64_t routed = 0;    ///< submissions routed to an endpoint
   std::uint64_t reroutes = 0;  ///< routed past the first preference (fail-over)

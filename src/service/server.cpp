@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/trace.hpp"
 #include "service/net.hpp"
 
 namespace phoenix {
@@ -158,7 +157,6 @@ struct ServedServer::Impl {
   void send_error(Conn& c, std::uint64_t request_id, const Error& e) {
     send_frame(c, FrameType::ErrorReply, request_id, error_to_payload(e));
     errors_sent.fetch_add(1, std::memory_order_relaxed);
-    trace_count("net.errors_sent", 1);
   }
 
   /// The one terminal reply for a submission, from the cold path's waiter
@@ -212,14 +210,12 @@ struct ServedServer::Impl {
       sent.fetch_sub(1, std::memory_order_relaxed);
       return nullptr;  // the peer is gone; its reader will notice
     }
-    trace_count(result != nullptr ? "net.results" : "net.errors_sent", 1);
     return result;
   }
 
   void handle_submit(const std::shared_ptr<Conn>& c, Frame f,
                      std::string* batch) {
     submits.fetch_add(1, std::memory_order_relaxed);
-    trace_count("net.submits", 1);
 
     // Wire-memo fast path: a byte-identical repeat of a memoized reply is
     // answered from the memo — no parse, no fingerprint, no service — with
@@ -228,7 +224,6 @@ struct ServedServer::Impl {
     WireReply memo;
     if (wire_lookup(memo_key, &memo)) {
       wire_hits.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.wire_hits", 1);
       std::string bytes;
       append_frame(bytes, FrameType::SubmitAck, f.request_id,
                    "ack " + memo.fingerprint_hex + " 1");
@@ -236,7 +231,6 @@ struct ServedServer::Impl {
                    *memo.result_bytes);
       emit(*c, std::move(bytes), batch);
       results.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.results", 1);
       return;
     }
 
@@ -256,7 +250,6 @@ struct ServedServer::Impl {
     }
     if (malformed) {
       frame_errors.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.frame_errors", 1);
       send_error(*c, f.request_id, *malformed);
       return;
     }
@@ -265,7 +258,6 @@ struct ServedServer::Impl {
       std::lock_guard<std::mutex> lk(c->tickets_mu);
       if (c->tickets.count(f.request_id) != 0) {
         frame_errors.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.frame_errors", 1);
         send_error(*c, f.request_id,
                    Error(Stage::Parse, "phoenix-protocol: duplicate "
                                        "in-flight request id"));
@@ -354,7 +346,6 @@ struct ServedServer::Impl {
 
   void handle_cancel(Conn& c, const Frame& f) {
     cancels.fetch_add(1, std::memory_order_relaxed);
-    trace_count("net.cancels", 1);
     CompileService::Ticket ticket;
     bool known = false;
     {
@@ -429,7 +420,6 @@ struct ServedServer::Impl {
     // Server-to-client frame types arriving at the server are a protocol
     // violation; answer structurally and keep the stream (framing is intact).
     frame_errors.fetch_add(1, std::memory_order_relaxed);
-    trace_count("net.frame_errors", 1);
     send_error(*c, f.request_id,
                Error(Stage::Parse,
                      std::string("phoenix-protocol: unexpected frame type '") +
@@ -444,7 +434,6 @@ struct ServedServer::Impl {
         const std::size_t n = net::read_some(c->fd, chunk.data(), chunk.size());
         if (n == 0) break;  // EOF or shutdown
         bytes_in.fetch_add(n, std::memory_order_relaxed);
-        trace_count("net.bytes_in", n);
         buf.append(chunk.data(), n);
         std::size_t off = 0;
         Frame f;
@@ -463,10 +452,8 @@ struct ServedServer::Impl {
         }
         buf.erase(0, off);
         if (!batch.empty()) {
-          if (frames > 1) {
+          if (frames > 1)
             reply_batches.fetch_add(1, std::memory_order_relaxed);
-            trace_count("net.reply_batches", 1);
-          }
           std::lock_guard<std::mutex> lk(c->write_mu);
           net::write_all(c->fd, batch.data(), batch.size());
         }
@@ -474,10 +461,8 @@ struct ServedServer::Impl {
     } catch (const Error& e) {
       // Framing is lost (bad magic/version/length) or the read failed hard.
       // Best-effort structured goodbye, then drop the connection.
-      if (e.stage() == Stage::Parse) {
+      if (e.stage() == Stage::Parse)
         frame_errors.fetch_add(1, std::memory_order_relaxed);
-        trace_count("net.frame_errors", 1);
-      }
       try {
         send_error(*c, 0, e);
       } catch (...) {
@@ -509,7 +494,6 @@ struct ServedServer::Impl {
       if (stopping.load(std::memory_order_acquire)) return;
       accepted.fetch_add(1, std::memory_order_relaxed);
       connections.fetch_add(1, std::memory_order_relaxed);
-      trace_count("net.accepted", 1);
       auto c = std::make_shared<Conn>();
       c->fd = std::move(fd);
       std::lock_guard<std::mutex> lk(conns_mu);

@@ -37,8 +37,7 @@ struct ServerOptions {
 };
 
 /// Network counters, the `net.*` siblings of ServiceStats' `service.*`
-/// family (also mirrored onto any installed Trace). All monotonic except
-/// the two gauges.
+/// family. All monotonic except the two gauges.
 struct ServerStats {
   std::uint64_t accepted = 0;       ///< connections accepted
   std::uint64_t connections = 0;    ///< gauge: currently open connections

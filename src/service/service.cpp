@@ -17,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/thread_pool.hpp"
-#include "common/trace.hpp"
 #include "phoenix/bind.hpp"
 #include "phoenix/serialize.hpp"
 #include "service/fingerprint.hpp"
@@ -97,11 +96,17 @@ struct CompileService::Ticket::State {
   std::shared_ptr<const std::string> bound;
   /// This submission's own wait deadline (max() = none).
   ServiceClock::time_point deadline = ServiceClock::time_point::max();
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> timed_out{false};
-  std::atomic<std::uint64_t>* cancelled_counter = nullptr;
-  std::atomic<std::uint64_t>* midflight_counter = nullptr;
-  std::atomic<std::uint64_t>* timeouts_counter = nullptr;
+  /// How this submission let go of its flight: set once, by cancel() or by
+  /// a get() that reached the deadline, so its interest is released once.
+  enum class Drop { Live, Cancelled, TimedOut };
+  std::atomic<Drop> dropped{Drop::Live};
+  /// The issuing service: its counters and its interest release.
+  Impl* service = nullptr;
+
+  bool drop(Drop why) {
+    Drop live = Drop::Live;
+    return dropped.compare_exchange_strong(live, why);
+  }
 };
 
 struct CompileService::Impl {
@@ -132,7 +137,8 @@ struct CompileService::Impl {
   std::unordered_map<Digest128, std::shared_ptr<Flight>, Digest128Hash>
       flights;
   /// Accepted-but-not-started async flights and their priorities — the
-  /// admission-control queue view (guarded by flights_mu, like `flights`).
+  /// admission-control queue (guarded by flights_mu, like `flights`; its
+  /// size is ServiceStats::queue_depth).
   std::unordered_map<Digest128, std::pair<std::shared_ptr<Flight>, int>,
                      Digest128Hash>
       queued;
@@ -146,7 +152,6 @@ struct CompileService::Impl {
   std::atomic<std::uint64_t> cancelled_midflight{0};
   std::atomic<std::uint64_t> timeouts{0};
   std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> queue_depth{0};
 
   /// Destroyed first (declared last): its destructor runs every queued job
   /// to completion while the cache and flight table above are still alive.
@@ -168,53 +173,36 @@ struct CompileService::Impl {
   /// published between the caller's cache miss and this lock has already
   /// put its result, so the caller takes it (`hit`, counted as a cache hit)
   /// instead of compiling a second time.
+  ///
+  /// With `queue` set (an async submission), creating a flight claims an
+  /// admission-control slot: when the queue is full, either a strictly
+  /// lower-priority queued flight is shed to make room (returned via
+  /// `shed_victim`; the caller fails its promise outside the lock) or the
+  /// submission is rejected with Error kind Overloaded. One lock
+  /// acquisition, so a rejected submission never leaves a joinable flight
+  /// behind. A synchronous compile creates its flight unqueued.
   struct JoinResult {
     std::shared_ptr<Flight> flight;
     bool created = false;
     ResultPtr hit;
   };
-  static void relax_deadline(Flight& flight, double deadline_ms) {
-    flight.source.extend_deadline(deadline_after_ms(deadline_ms));
-  }
-  JoinResult join_or_create(const CompileRequest& req, const Digest128& fp) {
-    std::lock_guard<std::mutex> lock(flights_mu);
-    if (const auto it = flights.find(fp); it != flights.end()) {
-      it->second->interest.fetch_add(1, std::memory_order_relaxed);
-      relax_deadline(*it->second, req.deadline_ms);
-      return {it->second, false, nullptr};
-    }
-    if (ResultPtr hit = cache.get_resident(fp)) return {nullptr, false, hit};
-    auto flight = std::make_shared<Flight>(fp, req.deadline_ms, req.cancel);
-    flight->interest.store(1, std::memory_order_relaxed);
-    flights[fp] = flight;
-    return {flight, true, nullptr};
-  }
-
-  /// join_or_create plus admission control for the async path: creating a
-  /// flight claims a queue slot; when the queue is full, either a strictly
-  /// lower-priority queued flight is shed to make room (returned via
-  /// `shed_victim`; the caller fails its promise outside the lock) or the
-  /// submission is rejected with Error kind Overloaded. One lock
-  /// acquisition, so a rejected submission never leaves a joinable flight
-  /// behind.
   JoinResult admit_or_join(const CompileRequest& req, const Digest128& fp,
-                           int priority,
+                           int priority, bool queue,
                            std::shared_ptr<Flight>& shed_victim) {
     std::lock_guard<std::mutex> lock(flights_mu);
     if (const auto it = flights.find(fp); it != flights.end()) {
       it->second->interest.fetch_add(1, std::memory_order_relaxed);
-      relax_deadline(*it->second, req.deadline_ms);
+      it->second->source.extend_deadline(deadline_after_ms(req.deadline_ms));
       return {it->second, false, nullptr};
     }
     if (ResultPtr hit = cache.get_resident(fp)) return {nullptr, false, hit};
-    if (max_queue > 0 && queued.size() >= max_queue) {
+    if (queue && max_queue > 0 && queued.size() >= max_queue) {
       auto victim = queued.end();
       for (auto it = queued.begin(); it != queued.end(); ++it)
         if (victim == queued.end() || it->second.second < victim->second.second)
           victim = it;
       if (victim == queued.end() || victim->second.second >= priority) {
         rejected.fetch_add(1, std::memory_order_relaxed);
-        trace_count("service.rejected", 1);
         throw Error(Error::Kind::Overloaded, Stage::Service,
                     "CompileService::submit: queue full (" +
                         std::to_string(queued.size()) + "/" +
@@ -226,15 +214,12 @@ struct CompileService::Impl {
       shed_victim->source.request_cancel();
       flights.erase(shed_victim->fp);
       queued.erase(victim);
-      queue_depth.fetch_sub(1, std::memory_order_relaxed);
       rejected.fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.rejected", 1);
     }
     auto flight = std::make_shared<Flight>(fp, req.deadline_ms, req.cancel);
     flight->interest.store(1, std::memory_order_relaxed);
     flights[fp] = flight;
-    queued[fp] = {flight, priority};
-    queue_depth.fetch_add(1, std::memory_order_relaxed);
+    if (queue) queued[fp] = {flight, priority};
     return {flight, true, nullptr};
   }
 
@@ -287,11 +272,9 @@ struct CompileService::Impl {
     std::optional<std::string> bound = bind_skeleton(*skeleton, req.terms);
     if (!bound) {
       bind_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.bind_fallbacks", 1);
       return {};
     }
     bind_hits.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.bind_hits", 1);
     return {std::make_shared<const std::string>(std::move(*bound)), {}};
   }
 
@@ -328,57 +311,25 @@ struct CompileService::Impl {
         bind_skeleton(*skeleton, req.terms);
     if (!bound) {
       bind_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.bind_fallbacks", 1);
       return nullptr;
     }
     return decode_result(*bound);
   }
 
-  /// Run the compile this flight owns and publish the result: cache first,
-  /// then retire the flight from the table, then resolve the future. A
-  /// request that missed the cache before the put finds either the flight
-  /// or, through the re-check in join_or_create / admit_or_join, the entry.
-  /// With `build` set the flight builds the structure's skeleton and binds
-  /// the request; a bound result is not cached (a VQA loop never repeats
-  /// its amplitudes, and an exact repeat is bound again).
-  ResultPtr run_flight(const std::shared_ptr<Flight>& flight,
-                       const CompileRequest& req,
-                       const std::optional<Digest128>& build) {
-    compiles.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.compiles", 1);
-    ResultPtr result;
-    bool bound = false;
-    try {
-      fault::maybe_sleep("compile.slow");
-      if (fault::triggered("compile.throw"))
-        throw Error(Stage::Service, "fault injected: compile.throw");
-      if (build) result = build_and_bind(*build, req);
-      bound = result != nullptr;
-      if (!bound)
-        result = std::make_shared<const CompileResult>(compile_fn(req));
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(flights_mu);
-        flights.erase(flight->fp);
-      }
-      flight->promise.set_exception(std::current_exception());
-      throw;
-    }
-    if (!bound) cache.put(flight->fp, result);
-    {
-      std::lock_guard<std::mutex> lock(flights_mu);
-      flights.erase(flight->fp);
-    }
-    flight->promise.set_value(result);
-    return result;
-  }
-
-  /// The queued form of run_flight: checks for abandonment (every submission
-  /// cancelled while queued) under the table lock, swallows compile errors
-  /// into the flight's future (tickets rethrow from get()).
-  void run_flight_job(const std::shared_ptr<Flight>& flight,
-                      CompileRequest& req,
-                      const std::optional<Digest128>& build) {
+  /// Run one flight, on a pool worker or on the synchronous caller's
+  /// thread. Under the table lock it leaves its queue slot and checks for
+  /// abandonment (every submission cancelled while queued: the future
+  /// resolves to nullptr and nothing compiles). Otherwise it compiles,
+  /// publishes the result to the cache, retires the flight from the table
+  /// and resolves the future, in that order: a request that missed the
+  /// cache before the put finds either the flight or, through the re-check
+  /// in admit_or_join, the entry. A compile error goes into the future,
+  /// where every waiter's Ticket::get rethrows it. With `build` set the
+  /// flight builds the structure's skeleton and binds the request; a bound
+  /// result is not cached (a VQA loop never repeats its amplitudes, and an
+  /// exact repeat is bound again).
+  void run_flight(const std::shared_ptr<Flight>& flight, CompileRequest& req,
+                  const std::optional<Digest128>& build) {
     bool abandoned = false;
     {
       std::lock_guard<std::mutex> lock(flights_mu);
@@ -386,7 +337,6 @@ struct CompileService::Impl {
       // failed, queue slot released); this job is a husk.
       if (flight->shed.load(std::memory_order_acquire)) return;
       queued.erase(flight->fp);
-      queue_depth.fetch_sub(1, std::memory_order_relaxed);
       flight->started.store(true, std::memory_order_relaxed);
       if (flight->interest.load(std::memory_order_relaxed) == 0) {
         flights.erase(flight->fp);
@@ -398,63 +348,102 @@ struct CompileService::Impl {
       return;
     }
     req.cancel = flight->source.token();
+    compiles.fetch_add(1, std::memory_order_relaxed);
+    ResultPtr result;
+    std::exception_ptr error;
     try {
-      run_flight(flight, req, build);
+      fault::maybe_sleep("compile.slow");
+      if (fault::triggered("compile.throw"))
+        throw Error(Stage::Service, "fault injected: compile.throw");
+      if (build) result = build_and_bind(*build, req);
+      if (result == nullptr) {
+        result = std::make_shared<const CompileResult>(compile_fn(req));
+        cache.put(flight->fp, result);
+      }
     } catch (...) {
-      // Already stored in the future; every waiter sees it.
+      error = std::current_exception();
     }
+    {
+      std::lock_guard<std::mutex> lock(flights_mu);
+      flights.erase(flight->fp);
+    }
+    if (error)
+      flight->promise.set_exception(error);
+    else
+      flight->promise.set_value(result);
   }
 
-  /// Drop one joined submission's interest at its deadline: the last
-  /// interested waiter of a started flight cancels the compile through the
-  /// flight token. Shared by Ticket::get and the sync join path.
-  void abandon_at_deadline(Flight& flight) {
-    timeouts.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.timeouts", 1);
+  /// Drop one submission's interest in its flight, when its ticket is
+  /// cancelled or its wait reaches the deadline. The last interested
+  /// submission of a flight not yet started leaves it to be abandoned when
+  /// it runs; of a running flight, it cancels the compile mid-stage through
+  /// the flight token. True when the compile was (or will be) skipped or
+  /// aborted on this submission's behalf.
+  bool release(Flight& f) {
     const std::size_t remaining =
-        flight.interest.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    if (remaining == 0 && flight.started.load(std::memory_order_relaxed)) {
-      flight.source.request_cancel();
-      cancelled_midflight.fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.cancelled_midflight", 1);
-    }
+        f.interest.fetch_sub(1, std::memory_order_acq_rel) - 1;
+    if (remaining != 0) return false;  // others still want the flight
+    if (!f.started.load(std::memory_order_relaxed)) return true;
+    // Already finished: nothing left to skip.
+    if (f.future.wait_for(std::chrono::seconds(0)) == std::future_status::ready)
+      return false;
+    f.source.request_cancel();
+    cancelled_midflight.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
 
-  ResultPtr compile_sync(const CompileRequest& req) {
-    check_deadline(req, "CompileService::compile");
+  /// The one way in, for `compile` and `submit` alike: refuse a NaN
+  /// deadline, count and fingerprint the request, then serve it from the
+  /// cache, bind it, join its fingerprint's flight, or create that flight.
+  /// `async` is submit's own copy of `req`: a flight created for it is
+  /// queued on the pool at `priority` (admission control applies) and
+  /// takes the request by move. Without it a created flight runs here, on a
+  /// copy of the request, before the ticket is returned: a synchronous
+  /// compile is a ticket whose new flight runs on the calling thread.
+  Ticket enter(const CompileRequest& req, int priority,
+               CompileRequest* async) {
+    check_deadline(req, async != nullptr ? "CompileService::submit"
+                                         : "CompileService::compile");
     requests.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.requests", 1);
-    const Digest128 fp = fingerprint_request(req.terms, req.num_qubits,
-                                             req.options, req.coupling_graph());
-    const auto deadline = deadline_after_ms(req.deadline_ms);
-    if (ResultPtr hit = cache.get(fp)) return hit;
+    Ticket ticket;
+    ticket.state_ = std::make_shared<Ticket::State>();
+    Ticket::State& t = *ticket.state_;
+    t.fp = fingerprint_request(req.terms, req.num_qubits, req.options,
+                               req.coupling_graph());
+    t.deadline = deadline_after_ms(req.deadline_ms);
+    t.service = this;
+
+    if ((t.ready = cache.get(t.fp)) != nullptr) return ticket;
     const BindPlan plan = plan_bind(req);
-    if (plan.bound != nullptr) return decode_result(*plan.bound);
-    for (;;) {
-      const JoinResult j = join_or_create(req, fp);
-      if (j.hit != nullptr) return j.hit;
-      if (j.created) {
-        j.flight->started.store(true, std::memory_order_relaxed);
-        CompileRequest effective = req;
-        effective.cancel = j.flight->source.token();
-        return run_flight(j.flight, effective, plan.build);
-      }
-      inflight_joins.fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.inflight_joins", 1);
-      if (deadline != ServiceClock::time_point::max() &&
-          j.flight->future.wait_until(deadline) ==
-              std::future_status::timeout) {
-        abandon_at_deadline(*j.flight);
-        throw Error(Error::Kind::DeadlineExceeded, Stage::Service,
-                    "compile: deadline exceeded while joined to an in-flight "
-                    "compile");
-      }
-      ResultPtr shared = j.flight->future.get();  // rethrows compile errors
-      if (shared != nullptr) return shared;
-      // Unreachable in practice: our interest blocks abandonment. Retry
-      // defensively rather than hand a sync caller a null result.
-      if (ResultPtr hit = cache.get(fp)) return hit;
+    if ((t.bound = plan.bound) != nullptr) return ticket;
+
+    std::shared_ptr<Flight> shed_victim;
+    const JoinResult j =
+        admit_or_join(req, t.fp, priority, async != nullptr, shed_victim);
+    if (shed_victim != nullptr) {
+      // Outside the flight-table lock: waking the victim's waiters can run
+      // arbitrary continuation code.
+      shed_victim->promise.set_exception(std::make_exception_ptr(
+          Error(Error::Kind::Overloaded, Stage::Service,
+                "CompileService: compile shed by a higher-priority "
+                "submission")));
     }
+    if ((t.ready = j.hit) != nullptr) return ticket;
+    t.flight = j.flight;
+    if (!j.created) {
+      inflight_joins.fetch_add(1, std::memory_order_relaxed);
+    } else if (async == nullptr) {
+      CompileRequest own = req;
+      run_flight(j.flight, own, plan.build);
+    } else {
+      auto shared_req = std::make_shared<CompileRequest>(std::move(*async));
+      pool.submit(
+          [this, flight = j.flight, shared_req, build = plan.build] {
+            run_flight(flight, *shared_req, build);
+          },
+          priority);
+    }
+    return ticket;
   }
 };
 
@@ -484,7 +473,7 @@ CompileService::CompileService(ServiceOptions opt, CompileFn compile_fn)
 CompileService::~CompileService() = default;
 
 CompileService::ResultPtr CompileService::compile(const CompileRequest& req) {
-  return impl_->compile_sync(req);
+  return impl_->enter(req, 0, nullptr).get();
 }
 
 CompileService::ResultPtr CompileService::compile(
@@ -494,14 +483,20 @@ CompileService::ResultPtr CompileService::compile(
   req.terms = terms;
   req.num_qubits = num_qubits;
   req.options = opt;
-  return impl_->compile_sync(req);
+  return compile(req);
+}
+
+CompileService::Ticket CompileService::submit(CompileRequest req,
+                                              int priority) {
+  return impl_->enter(req, priority, &req);
 }
 
 CompileService::ResultPtr CompileService::Ticket::get() {
   if (state_ == nullptr)
     throw Error(Stage::Service, "Ticket::get: empty ticket");
-  if (state_->cancelled.load(std::memory_order_relaxed)) return nullptr;
-  if (state_->timed_out.load(std::memory_order_relaxed))
+  const State::Drop dropped = state_->dropped.load(std::memory_order_relaxed);
+  if (dropped == State::Drop::Cancelled) return nullptr;
+  if (dropped == State::Drop::TimedOut)
     throw Error(Error::Kind::DeadlineExceeded, Stage::Service,
                 "Ticket::get: deadline exceeded (submission abandoned)");
   if (state_->bound != nullptr) return decode_result(*state_->bound);
@@ -509,21 +504,10 @@ CompileService::ResultPtr CompileService::Ticket::get() {
   if (state_->deadline != ServiceClock::time_point::max() &&
       state_->flight->future.wait_until(state_->deadline) ==
           std::future_status::timeout) {
-    // Single transition: later get() calls keep throwing without touching
-    // the flight's interest again (cancel() also checks this flag).
-    if (!state_->timed_out.exchange(true)) {
-      if (state_->timeouts_counter != nullptr)
-        state_->timeouts_counter->fetch_add(1, std::memory_order_relaxed);
-      trace_count("service.timeouts", 1);
-      Flight& f = *state_->flight;
-      const std::size_t remaining =
-          f.interest.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      if (remaining == 0 && f.started.load(std::memory_order_relaxed)) {
-        f.source.request_cancel();
-        if (state_->midflight_counter != nullptr)
-          state_->midflight_counter->fetch_add(1, std::memory_order_relaxed);
-        trace_count("service.cancelled_midflight", 1);
-      }
+    // Later get() calls keep throwing without touching the flight again.
+    if (state_->drop(State::Drop::TimedOut)) {
+      state_->service->timeouts.fetch_add(1, std::memory_order_relaxed);
+      state_->service->release(*state_->flight);
     }
     throw Error(Error::Kind::DeadlineExceeded, Stage::Service,
                 "Ticket::get: deadline exceeded waiting for compile");
@@ -544,8 +528,8 @@ bool CompileService::Ticket::bound() const {
 
 bool CompileService::Ticket::ready() const {
   if (state_ == nullptr) return false;
-  if (state_->cancelled.load(std::memory_order_relaxed)) return true;
-  if (state_->timed_out.load(std::memory_order_relaxed)) return true;
+  if (state_->dropped.load(std::memory_order_relaxed) != State::Drop::Live)
+    return true;
   if (state_->flight == nullptr) return true;
   return state_->flight->future.wait_for(std::chrono::seconds(0)) ==
          std::future_status::ready;
@@ -553,94 +537,16 @@ bool CompileService::Ticket::ready() const {
 
 bool CompileService::Ticket::cancel() {
   if (state_ == nullptr || state_->flight == nullptr) return false;
-  // A timed-out submission already dropped its interest at the deadline;
-  // cancelling it again must not double-release.
-  if (state_->timed_out.load(std::memory_order_relaxed)) return false;
-  if (state_->cancelled.exchange(true)) return false;
-  if (state_->cancelled_counter != nullptr)
-    state_->cancelled_counter->fetch_add(1, std::memory_order_relaxed);
-  trace_count("service.cancelled", 1);
-  Flight& f = *state_->flight;
-  const std::size_t remaining =
-      f.interest.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (remaining != 0) return false;  // others still want the flight
-  // Not started yet: the worker re-checks interest under the flight-table
-  // lock before compiling and abandons the flight — the compile never runs.
-  if (!f.started.load(std::memory_order_relaxed)) return true;
-  // Already running and finished: nothing left to skip.
-  if (f.future.wait_for(std::chrono::seconds(0)) == std::future_status::ready)
-    return false;
-  // Last interested submission of a running compile: abort it mid-stage
-  // through the flight token. The compile throws Error kind Cancelled into
-  // the future (only cancelled/timed-out waiters can observe it).
-  f.source.request_cancel();
-  if (state_->midflight_counter != nullptr)
-    state_->midflight_counter->fetch_add(1, std::memory_order_relaxed);
-  trace_count("service.cancelled_midflight", 1);
-  return true;
+  // A submission that already timed out dropped its interest at the
+  // deadline; it must not release it twice.
+  if (!state_->drop(State::Drop::Cancelled)) return false;
+  state_->service->cancelled.fetch_add(1, std::memory_order_relaxed);
+  return state_->service->release(*state_->flight);
 }
 
 const Digest128& CompileService::Ticket::fingerprint() const {
   static const Digest128 kEmpty{};
   return state_ == nullptr ? kEmpty : state_->fp;
-}
-
-CompileService::Ticket CompileService::submit(CompileRequest req,
-                                              int priority) {
-  check_deadline(req, "CompileService::submit");
-  impl_->requests.fetch_add(1, std::memory_order_relaxed);
-  trace_count("service.requests", 1);
-  const Digest128 fp = fingerprint_request(
-      req.terms, req.num_qubits, req.options, req.coupling_graph());
-
-  Ticket ticket;
-  ticket.state_ = std::make_shared<Ticket::State>();
-  ticket.state_->fp = fp;
-  ticket.state_->deadline = deadline_after_ms(req.deadline_ms);
-  ticket.state_->cancelled_counter = &impl_->cancelled;
-  ticket.state_->midflight_counter = &impl_->cancelled_midflight;
-  ticket.state_->timeouts_counter = &impl_->timeouts;
-
-  if (ResultPtr hit = impl_->cache.get(fp)) {
-    ticket.state_->ready = std::move(hit);
-    return ticket;
-  }
-  const Impl::BindPlan plan = impl_->plan_bind(req);
-  if (plan.bound != nullptr) {
-    ticket.state_->bound = plan.bound;
-    return ticket;
-  }
-
-  std::shared_ptr<Flight> shed_victim;
-  const Impl::JoinResult j =
-      impl_->admit_or_join(req, fp, priority, shed_victim);
-  if (shed_victim != nullptr) {
-    // Outside the flight-table lock: waking the victim's waiters can run
-    // arbitrary continuation code.
-    shed_victim->promise.set_exception(std::make_exception_ptr(
-        Error(Error::Kind::Overloaded, Stage::Service,
-              "CompileService: compile shed by a higher-priority "
-              "submission")));
-  }
-  if (j.hit != nullptr) {
-    ticket.state_->ready = j.hit;
-    return ticket;
-  }
-  ticket.state_->flight = j.flight;
-  if (!j.created) {
-    impl_->inflight_joins.fetch_add(1, std::memory_order_relaxed);
-    trace_count("service.inflight_joins", 1);
-    return ticket;
-  }
-
-  Impl* impl = impl_.get();
-  auto shared_req = std::make_shared<CompileRequest>(std::move(req));
-  impl_->pool.submit(
-      [impl, flight = j.flight, shared_req, build = plan.build] {
-        impl->run_flight_job(flight, *shared_req, build);
-      },
-      priority);
-  return ticket;
 }
 
 std::vector<CompileService::ResultPtr> CompileService::compile_batch(
@@ -684,7 +590,10 @@ ServiceStats CompileService::stats() const {
   s.rejected = impl_->rejected.load(std::memory_order_relaxed);
   s.disk_retries = c.disk_retries;
   s.faults_injected = fault::total_fired();
-  s.queue_depth = impl_->queue_depth.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(impl_->flights_mu);
+    s.queue_depth = impl_->queued.size();
+  }
   s.cache_entries = c.entries;
   s.cache_bytes = c.bytes;
   {

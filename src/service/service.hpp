@@ -76,9 +76,8 @@ struct ServiceOptions {
 };
 
 /// Point-in-time service counters (all monotonic except queue_depth and the
-/// cache occupancy pair). Also mirrored into the PR 3 trace layer as
-/// `service.*` counters on whatever Trace is installed on the calling
-/// thread, so traced drivers see cache behavior inline with stage spans.
+/// cache occupancy pair). The server's Stats frame reads its `service.*`
+/// lines from these fields; nothing else counts service events.
 struct ServiceStats {
   std::uint64_t requests = 0;        ///< compile/submit/batch entries
   std::uint64_t hits = 0;            ///< served from memory cache
@@ -142,9 +141,11 @@ class CompileService {
   CompileService(const CompileService&) = delete;
   CompileService& operator=(const CompileService&) = delete;
 
-  /// Synchronous cached compile: cache hit, join of an in-flight compile,
-  /// bind (decoded from the bound bytes), or a cold compile on the calling
-  /// thread. Compile errors propagate.
+  /// Synchronous cached compile: a ticket taken like `submit`'s and read
+  /// through Ticket::get, so it is served the same ways (cache hit, bind,
+  /// join of an in-flight compile) and waits under the same deadline. The
+  /// one difference is a new flight: it runs on the calling thread before
+  /// the ticket is read, exempt from max_queue. Compile errors propagate.
   ResultPtr compile(const CompileRequest& req);
   ResultPtr compile(const std::vector<PauliTerm>& terms,
                     std::size_t num_qubits, const PhoenixOptions& opt = {});
@@ -153,7 +154,10 @@ class CompileService {
   /// (bounded by the request's deadline_ms, when set) and rethrows the
   /// compile's error; after a successful cancel() it returns nullptr
   /// instead. All methods are safe on a default-constructed (empty) ticket:
-  /// get() throws a structured Error, the others report inert defaults.
+  /// get() throws a structured Error, the others report inert defaults. A
+  /// ticket refers to the service that issued it, whose counters it
+  /// updates on cancel() and at its deadline: it must not outlive that
+  /// service.
   class Ticket {
    public:
     Ticket() = default;

@@ -113,7 +113,12 @@ Matrix expm_minus_i(const Matrix& h, double t) {
 double infidelity(const Matrix& u, const Matrix& v) {
   if (u.dim() != v.dim())
     throw std::invalid_argument("infidelity: dim mismatch");
-  const Complex tr = (u.adjoint() * v).trace();
+  // Tr(U† V) = sum_ij conj(u_ij) v_ij: one pass over both matrices, no
+  // product formed.
+  Complex tr{0, 0};
+  for (std::size_t i = 0; i < u.dim(); ++i)
+    for (std::size_t j = 0; j < u.dim(); ++j)
+      tr += std::conj(u.at(i, j)) * v.at(i, j);
   return 1.0 - std::abs(tr) / static_cast<double>(u.dim());
 }
 

@@ -242,10 +242,17 @@ TEST(ResynthExtract, CancellationAborts) {
   }
 }
 
+// The uccsd_suite_small(10) entries by name, without generating their
+// terms: gtest builds this list in every test process, and ctest starts one
+// process per test. ResynthSuiteNames keeps it in step with the suite.
 std::vector<std::string> small_suite_names() {
+  return {"LiH_frz_BK", "LiH_frz_JW", "NH_frz_BK", "NH_frz_JW"};
+}
+
+TEST(ResynthSuiteNames, MatchTheSmallUccsdSuite) {
   std::vector<std::string> names;
   for (const auto& bench : uccsd_suite_small(10)) names.push_back(bench.name);
-  return names;
+  EXPECT_EQ(names, small_suite_names());
 }
 
 // One instance per uccsd_suite_small(10) entry, so the entries run in

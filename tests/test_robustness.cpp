@@ -697,6 +697,39 @@ TEST(RobustnessService, QueueFullRejectsWithOverloaded) {
   EXPECT_EQ(joined.get(), queued.get());
 }
 
+TEST(RobustnessService, SyncCompileIsExemptFromAdmission) {
+  // A synchronous compile runs its new flight on the calling thread: a full
+  // admission queue neither rejects it nor gives it a queue slot.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  ServiceOptions opt;
+  opt.num_threads = 1;
+  opt.max_queue = 1;
+  CompileService svc(opt, [&](const CompileRequest& req) {
+    if (req.terms[0].coeff == 0.0) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    }
+    CompileResult r;
+    r.circuit = Circuit(req.num_qubits);
+    return r;
+  });
+  auto gate = svc.submit(tiny_request(0.0));  // occupies the single worker
+  while (svc.stats().queue_depth != 0) std::this_thread::sleep_for(1ms);
+  auto queued = svc.submit(tiny_request(1.0));  // fills the one queue slot
+  EXPECT_NE(svc.compile(tiny_request(2.0)), nullptr);
+  EXPECT_EQ(svc.stats().rejected, 0u);
+  EXPECT_EQ(svc.stats().queue_depth, 1u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_NE(gate.get(), nullptr);
+  EXPECT_NE(queued.get(), nullptr);
+}
+
 TEST(RobustnessService, HigherPrioritySubmissionShedsLowerPriorityFlight) {
   std::mutex mu;
   std::condition_variable cv;
@@ -759,6 +792,104 @@ TEST(RobustnessService, LastCancelAbortsTheRunningCompile) {
   EXPECT_EQ(ticket.get(), nullptr);  // cancelled tickets resolve to null
   EXPECT_EQ(svc.stats().cancelled_midflight, 1u);
   EXPECT_EQ(svc.stats().cancelled, 1u);
+}
+
+TEST(RobustnessService, SyncCompileHoldsItsFlightAgainstAJoinersCancel) {
+  // The synchronous caller keeps its interest in the flight it runs, so a
+  // joiner's cancel drops only the joiner: the compile is not aborted (the
+  // compile checks its token after the gate) and the caller gets its result.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  ServiceOptions opt;
+  opt.num_threads = 1;
+  CompileService svc(opt, [&](const CompileRequest& req) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+    req.cancel.check(Stage::Service);
+    CompileResult r;
+    r.circuit = Circuit(req.num_qubits);
+    return r;
+  });
+  CompileService::ResultPtr sync_result;
+  std::thread caller([&] {
+    try {
+      sync_result = svc.compile(tiny_request(1.0));
+    } catch (const Error&) {
+      // Left null: the expectation below reports it.
+    }
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  auto joiner = svc.submit(tiny_request(1.0));
+  EXPECT_EQ(svc.stats().inflight_joins, 1u);
+  EXPECT_FALSE(joiner.cancel());
+  EXPECT_EQ(svc.stats().cancelled, 1u);
+  EXPECT_EQ(svc.stats().cancelled_midflight, 0u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  caller.join();
+  EXPECT_NE(sync_result, nullptr);
+  EXPECT_EQ(joiner.get(), nullptr);
+}
+
+TEST(RobustnessService, CancelledWaiterDoesNotReleaseAgainAtItsDeadline) {
+  // A submission cancelled while its get() waits on a shared flight has
+  // dropped its interest already. When that wait then reaches the deadline
+  // it must not drop it a second time: that would take the other joiner's
+  // interest and cancel the compile under it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  ServiceOptions opt;
+  opt.num_threads = 1;
+  CompileService svc(opt, [&](const CompileRequest& req) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+    req.cancel.check(Stage::Service);
+    CompileResult r;
+    r.circuit = Circuit(req.num_qubits);
+    return r;
+  });
+  auto patient = svc.submit(tiny_request(1.0));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  CompileRequest hasty_req = tiny_request(1.0);
+  hasty_req.deadline_ms = 100.0;
+  auto hasty = svc.submit(hasty_req);  // joins the running flight
+  std::thread waiter([&] {
+    try {
+      hasty.get();  // DeadlineExceeded, or nullptr had the cancel come first
+    } catch (const Error&) {
+    }
+  });
+  std::this_thread::sleep_for(20ms);  // let the waiter block in get()
+  EXPECT_FALSE(hasty.cancel());  // the patient submission keeps the flight
+  waiter.join();
+  EXPECT_EQ(svc.stats().cancelled_midflight, 0u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_NE(patient.get(), nullptr);
 }
 
 TEST(RobustnessService, CancellationStormLeavesServiceServiceable) {
